@@ -1,4 +1,4 @@
-// E14 (extension): kernel roofline -- which resource bounds each Dirac
+// E16 (extension): kernel roofline -- which resource bounds each Dirac
 // kernel on the QCDOC node, and why the efficiency ladder looks the way it
 // does.
 //
@@ -33,7 +33,7 @@ void print_row(const char* name, const cpu::CpuModel& model,
 
 int main() {
   bench::print_header(
-      "E14: bench_kernel_roofline -- per-site cycle breakdown of the kernels",
+      "E16: bench_kernel_roofline -- per-site cycle breakdown of the kernels",
       "the efficiency ladder follows the FPU/LSU/EDRAM balance; DDR "
       "residency adds exposed stalls (the ~30% collapse)");
 

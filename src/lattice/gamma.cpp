@@ -64,16 +64,14 @@ SpinMatrix operator-(const SpinMatrix& a, const SpinMatrix& b) {
 
 namespace {
 
-constexpr Complex I{0.0, 1.0};
-
 SpinMatrix make_gamma(int mu) {
   SpinMatrix g;
   switch (mu) {
     case 0:  // gamma_x
-      g.at(0, 3) = I;
-      g.at(1, 2) = I;
-      g.at(2, 1) = -I;
-      g.at(3, 0) = -I;
+      g.at(0, 3) = kI;
+      g.at(1, 2) = kI;
+      g.at(2, 1) = -kI;
+      g.at(3, 0) = -kI;
       break;
     case 1:  // gamma_y
       g.at(0, 3) = -1.0;
@@ -82,10 +80,10 @@ SpinMatrix make_gamma(int mu) {
       g.at(3, 0) = -1.0;
       break;
     case 2:  // gamma_z
-      g.at(0, 2) = I;
-      g.at(1, 3) = -I;
-      g.at(2, 0) = -I;
-      g.at(3, 1) = I;
+      g.at(0, 2) = kI;
+      g.at(1, 3) = -kI;
+      g.at(2, 0) = -kI;
+      g.at(3, 1) = kI;
       break;
     case 3:  // gamma_t
       g.at(0, 2) = 1.0;
@@ -131,51 +129,8 @@ SpinMatrix sigma(int mu, int nu) {
   return r;
 }
 
-// Hardcoded projection tables for (1 - sign*gamma_mu), DeGrand-Rossi basis.
-//
-//   h0 = psi_0 + c0 * psi_{j0},   h1 = psi_1 + c1 * psi_{j1}
-//   psi_2 = r2 * h_{k2},          psi_3 = r3 * h_{k3}
-//
-// Derived directly from the matrices above; tests check project/reconstruct
-// against the generic (1 -+ gamma) application.
-namespace {
-
-struct ProjEntry {
-  int j0;
-  Complex c0;
-  int j1;
-  Complex c1;
-  int k2;
-  Complex r2;
-  int k3;
-  Complex r3;
-};
-
-// Index [mu][s] with s = 0 for sign=+1 in (1 - gamma), s = 1 for (1 + gamma).
-const ProjEntry kProj[4][2] = {
-    // mu = 0
-    {{3, -I, 2, -I, 1, I, 0, I},     // 1 - gamma_0
-     {3, I, 2, I, 1, -I, 0, -I}},    // 1 + gamma_0
-    // mu = 1
-    {{3, 1.0, 2, -1.0, 1, -1.0, 0, 1.0},   // 1 - gamma_1
-     {3, -1.0, 2, 1.0, 1, 1.0, 0, -1.0}},  // 1 + gamma_1
-    // mu = 2
-    {{2, -I, 3, I, 0, I, 1, -I},    // 1 - gamma_2
-     {2, I, 3, -I, 0, -I, 1, I}},   // 1 + gamma_2
-    // mu = 3
-    {{2, -1.0, 3, -1.0, 0, -1.0, 1, -1.0},  // 1 - gamma_3
-     {2, 1.0, 3, 1.0, 0, 1.0, 1, 1.0}},     // 1 + gamma_3
-};
-
-const ProjEntry& entry(int mu, int sign) {
-  assert(mu >= 0 && mu < 4 && (sign == 1 || sign == -1));
-  return kProj[mu][sign > 0 ? 0 : 1];
-}
-
-}  // namespace
-
 HalfSpinor project(int mu, int sign, const Spinor& psi) {
-  const ProjEntry& e = entry(mu, sign);
+  const SpinProjector& e = spin_projector(mu, sign);
   HalfSpinor h;
   for (int c = 0; c < 3; ++c) {
     h[0][c] = psi[0][c] + e.c0 * psi[e.j0][c];
@@ -185,7 +140,7 @@ HalfSpinor project(int mu, int sign, const Spinor& psi) {
 }
 
 Spinor reconstruct(int mu, int sign, const HalfSpinor& h) {
-  const ProjEntry& e = entry(mu, sign);
+  const SpinProjector& e = spin_projector(mu, sign);
   Spinor psi;
   for (int c = 0; c < 3; ++c) {
     psi[0][c] = h[0][c];

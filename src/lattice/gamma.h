@@ -10,6 +10,7 @@
 #pragma once
 
 #include <array>
+#include <cassert>
 
 #include "lattice/su3.h"
 
@@ -66,6 +67,50 @@ struct HalfSpinor {
     return h[static_cast<std::size_t>(i)];
   }
 };
+
+/// Hardcoded projection table for (1 - sign*gamma_mu), DeGrand-Rossi basis:
+///
+///   h0 = psi_0 + c0 * psi_{j0},   h1 = psi_1 + c1 * psi_{j1}
+///   psi_2 = r2 * h_{k2},          psi_3 = r3 * h_{k3}
+///
+/// Derived directly from the gamma matrices; tests check project and
+/// reconstruct against the generic (1 -+ gamma) application.
+struct SpinProjector {
+  int j0;
+  Complex c0;
+  int j1;
+  Complex c1;
+  int k2;
+  Complex r2;
+  int k3;
+  Complex r3;
+};
+
+inline constexpr Complex kI{0.0, 1.0};
+
+/// Index [mu][s] with s = 0 for sign = +1, i.e. (1 - gamma_mu), and s = 1
+/// for (1 + gamma_mu).  The one table behind project, reconstruct and the
+/// Wilson kernel, which all multiply by the entries in full, zero parts
+/// included (-kI is (-0, -1)).
+inline constexpr SpinProjector kSpinProjectors[4][2] = {
+    // mu = 0
+    {{3, -kI, 2, -kI, 1, kI, 0, kI},    // 1 - gamma_0
+     {3, kI, 2, kI, 1, -kI, 0, -kI}},   // 1 + gamma_0
+    // mu = 1
+    {{3, 1.0, 2, -1.0, 1, -1.0, 0, 1.0},   // 1 - gamma_1
+     {3, -1.0, 2, 1.0, 1, 1.0, 0, -1.0}},  // 1 + gamma_1
+    // mu = 2
+    {{2, -kI, 3, kI, 0, kI, 1, -kI},    // 1 - gamma_2
+     {2, kI, 3, -kI, 0, -kI, 1, kI}},   // 1 + gamma_2
+    // mu = 3
+    {{2, -1.0, 3, -1.0, 0, -1.0, 1, -1.0},  // 1 - gamma_3
+     {2, 1.0, 3, 1.0, 0, 1.0, 1, 1.0}},     // 1 + gamma_3
+};
+
+inline const SpinProjector& spin_projector(int mu, int sign) {
+  assert(mu >= 0 && mu < 4 && (sign == 1 || sign == -1));
+  return kSpinProjectors[mu][sign > 0 ? 0 : 1];
+}
 
 /// h = independent components of (1 - sign*gamma_mu) psi, sign = +-1.
 HalfSpinor project(int mu, int sign, const Spinor& psi);

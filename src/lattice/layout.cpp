@@ -10,6 +10,24 @@ LocalGeometry::LocalGeometry(Coord4 extent) : extent_(extent) {
     assert(e >= 1);
     volume_ *= e;
   }
+  const auto v = static_cast<std::size_t>(volume_);
+  hops_.resize(v * kNd * 2);
+  site_parity_.resize(v);
+  for (auto& f : faces_) f.resize(v);
+  for (int idx = 0; idx < volume_; ++idx) {
+    const Coord4 x = coords(idx);
+    site_parity_[static_cast<std::size_t>(idx)] =
+        static_cast<unsigned char>((x[0] + x[1] + x[2] + x[3]) & 1);
+    for (int mu = 0; mu < kNd; ++mu) {
+      const auto m = static_cast<std::size_t>(mu);
+      faces_[m][static_cast<std::size_t>(x[m] * face_volume(mu) +
+                                         transverse_index(x, mu))] = idx;
+      for (int dir : {+1, -1}) {
+        const Neighbor n = neighbor_by_coords(idx, mu, dir, 1);
+        hops_[hop_slot(idx, mu, dir)] = n.local ? n.index : ~n.index;
+      }
+    }
+  }
 }
 
 int LocalGeometry::index(const Coord4& x) const {
@@ -42,8 +60,9 @@ int LocalGeometry::transverse_index(const Coord4& x, int mu) const {
   return idx;
 }
 
-LocalGeometry::Neighbor LocalGeometry::neighbor(int idx, int mu, int dir,
-                                                int dist) const {
+LocalGeometry::Neighbor LocalGeometry::neighbor_by_coords(int idx, int mu,
+                                                         int dir,
+                                                         int dist) const {
   assert(dir == 1 || dir == -1);
   assert(dist >= 1);
   const auto m = static_cast<std::size_t>(mu);
@@ -65,38 +84,50 @@ LocalGeometry::Neighbor LocalGeometry::neighbor(int idx, int mu, int dir,
   return n;
 }
 
-std::vector<int> LocalGeometry::face_layer_sites(int mu, int dir,
-                                                 int layer) const {
+std::span<const int> LocalGeometry::face_layer_sites(int mu, int dir,
+                                                     int layer) const {
   // For dir = +1 the receiving neighbour's +mu halo layer `l` holds our
   // sites with x_mu = l (our low face); for dir = -1, x_mu = extent-1-l.
   const auto m = static_cast<std::size_t>(mu);
   assert(layer >= 0 && layer < extent_[m]);
   const int x_mu = dir > 0 ? layer : extent_[m] - 1 - layer;
-  std::vector<int> sites(static_cast<std::size_t>(face_volume(mu)));
-  for (int idx = 0; idx < volume_; ++idx) {
-    const Coord4 x = coords(idx);
-    if (x[m] != x_mu) continue;
-    sites[static_cast<std::size_t>(transverse_index(x, mu))] = idx;
-  }
-  return sites;
+  const auto f = static_cast<std::size_t>(face_volume(mu));
+  return std::span<const int>(faces_[m]).subspan(
+      static_cast<std::size_t>(x_mu) * f, f);
 }
 
-GlobalGeometry::GlobalGeometry(const torus::Partition* partition,
-                               Coord4 global_extent)
-    : partition_(partition), global_extent_(global_extent) {
+namespace {
+
+Coord4 local_extent_of(const torus::Partition& partition,
+                       const Coord4& global_extent) {
   Coord4 local_extent;
   for (int mu = 0; mu < kNd; ++mu) {
     const auto m = static_cast<std::size_t>(mu);
-    const int nodes = partition_->logical_shape().extent[mu];
-    assert(global_extent_[m] % nodes == 0 &&
+    const int nodes = partition.logical_shape().extent[mu];
+    assert(global_extent[m] % nodes == 0 &&
            "global lattice must divide evenly over the partition");
-    local_extent[m] = global_extent_[m] / nodes;
+    local_extent[m] = global_extent[m] / nodes;
   }
   // QCD uses at most the first four logical dims; any extra must be trivial.
-  for (int l = kNd; l < partition_->logical_dims(); ++l) {
-    assert(partition_->logical_shape().extent[l] == 1);
+  for (int l = kNd; l < partition.logical_dims(); ++l) {
+    assert(partition.logical_shape().extent[l] == 1);
   }
-  local_ = LocalGeometry(local_extent);
+  return local_extent;
+}
+
+}  // namespace
+
+GlobalGeometry::GlobalGeometry(const torus::Partition* partition,
+                               Coord4 global_extent)
+    : partition_(partition),
+      global_extent_(global_extent),
+      local_(local_extent_of(*partition, global_extent)) {
+  rank_parity_.resize(static_cast<std::size_t>(ranks()));
+  for (int r = 0; r < ranks(); ++r) {
+    const Coord4 origin = global_coords(r, 0);
+    rank_parity_[static_cast<std::size_t>(r)] = static_cast<unsigned char>(
+        (origin[0] + origin[1] + origin[2] + origin[3]) & 1);
+  }
 }
 
 Coord4 GlobalGeometry::global_coords(int rank, int local_idx) const {
@@ -108,11 +139,6 @@ Coord4 GlobalGeometry::global_coords(int rank, int local_idx) const {
     g[m] = lc.c[mu] * local_.extent()[m] + x[m];
   }
   return g;
-}
-
-int GlobalGeometry::parity(int rank, int local_idx) const {
-  const Coord4 g = global_coords(rank, local_idx);
-  return (g[0] + g[1] + g[2] + g[3]) & 1;
 }
 
 double GlobalGeometry::staggered_phase(int rank, int local_idx, int mu) const {

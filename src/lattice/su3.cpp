@@ -77,26 +77,6 @@ Su3Matrix operator*(const Su3Matrix& a, const Su3Matrix& b) {
   return r;
 }
 
-ColorVector operator*(const Su3Matrix& a, const ColorVector& v) {
-  ColorVector r;
-  for (int i = 0; i < 3; ++i) {
-    Complex s = 0;
-    for (int k = 0; k < 3; ++k) s += a.at(i, k) * v[k];
-    r[i] = s;
-  }
-  return r;
-}
-
-ColorVector adj_mul(const Su3Matrix& a, const ColorVector& v) {
-  ColorVector r;
-  for (int i = 0; i < 3; ++i) {
-    Complex s = 0;
-    for (int k = 0; k < 3; ++k) s += std::conj(a.at(k, i)) * v[k];
-    r[i] = s;
-  }
-  return r;
-}
-
 double unitarity_violation(const Su3Matrix& u) {
   const Su3Matrix uu = u * u.adjoint();
   const Su3Matrix id = Su3Matrix::identity();

@@ -60,9 +60,49 @@ struct Su3Matrix {
 };
 
 Su3Matrix operator*(const Su3Matrix& a, const Su3Matrix& b);
-ColorVector operator*(const Su3Matrix& a, const ColorVector& v);
+
+/// r = U v for a matrix held as 9 row-major (re, im) pairs -- the layout
+/// of Su3Matrix and of gauge-field storage, so kernels multiply straight
+/// out of field memory.  Generic over the complex type C (std::complex, or
+/// a kernel's plain-double pair with the same product formula); the one
+/// implementation behind operator*(U, v).
+template <typename C>
+std::array<C, 3> su3_mul(const double* u, const std::array<C, 3>& v) {
+  std::array<C, 3> r;
+  for (std::size_t i = 0; i < 3; ++i) {
+    C s{0.0, 0.0};
+    for (std::size_t k = 0; k < 3; ++k) {
+      s += C{u[2 * (3 * i + k)], u[2 * (3 * i + k) + 1]} * v[k];
+    }
+    r[i] = s;
+  }
+  return r;
+}
+
+/// r = U^dagger v on the same storage, without forming the adjoint.  The
+/// one implementation behind adj_mul.
+template <typename C>
+std::array<C, 3> su3_adj_mul(const double* u, const std::array<C, 3>& v) {
+  std::array<C, 3> r;
+  for (std::size_t i = 0; i < 3; ++i) {
+    C s{0.0, 0.0};
+    for (std::size_t k = 0; k < 3; ++k) {
+      s += conj(C{u[2 * (3 * k + i)], u[2 * (3 * k + i) + 1]}) * v[k];
+    }
+    r[i] = s;
+  }
+  return r;
+}
+
+// An array of std::complex<double> may be read as interleaved doubles
+// ([complex.numbers]), so Su3Matrix storage is su3_mul's layout.
+inline ColorVector operator*(const Su3Matrix& a, const ColorVector& v) {
+  return {su3_mul(reinterpret_cast<const double*>(a.m.data()), v.c)};
+}
 /// a^dagger * v without forming the adjoint.
-ColorVector adj_mul(const Su3Matrix& a, const ColorVector& v);
+inline ColorVector adj_mul(const Su3Matrix& a, const ColorVector& v) {
+  return {su3_adj_mul(reinterpret_cast<const double*>(a.m.data()), v.c)};
+}
 
 /// Frobenius distance from the group: ||U U^dagger - 1|| + |det U - 1|.
 double unitarity_violation(const Su3Matrix& u);

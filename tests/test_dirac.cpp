@@ -1,7 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <complex>
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <string>
+#include <tuple>
 
 #include "lattice/clover.h"
 #include "lattice/dwf.h"
@@ -177,6 +183,196 @@ TEST(Wilson, OverlapModeProducesSameResultFaster) {
   const auto b = run(rig_b, true, &ovl);
   EXPECT_LT(global_max_diff(a, b), 1e-12);
   EXPECT_LT(ovl, seq);
+}
+
+// --- Wilson kernel vs the reference hop loop --------------------------------
+//
+// The Wilson kernel's host arithmetic may be rewritten for speed, but every
+// output bit must stay what the reference helpers give.  The reference is
+// the original hop loop, rebuilt from project / reconstruct / operator* /
+// adj_mul with neighbours computed from coordinates: an off-node hop reads
+// the neighbouring rank's site and sends its half spinor through the
+// operator's wire format, as the halo exchange does.
+
+/// A half spinor after a trip through the halo wire format.
+HalfSpinor through_wire(const HalfSpinor& h, Precision prec) {
+  double v[kDoublesPerHalfSpinor];
+  store_half_spinor(v, h);
+  if (prec == Precision::kSingle) {
+    for (double& x : v) x = static_cast<float>(x);
+  } else if (prec == Precision::kHalf) {
+    std::int16_t mant[kDoublesPerHalfSpinor];
+    const std::int32_t e = block_float_encode(v, mant);
+    block_float_decode(e, mant, v);
+  }
+  return load_half_spinor(v);
+}
+
+/// out = Dslash in on the sites of `parity` (-1: every site).
+void reference_dslash(const GlobalGeometry& geom, const GaugeField& gauge,
+                      const DistField& in, DistField& out, Precision prec,
+                      int parity) {
+  const LocalGeometry& local = geom.local();
+  for (int r = 0; r < in.ranks(); ++r) {
+    for (int s = 0; s < local.volume(); ++s) {
+      const Coord4 g = geom.global_coords(r, s);
+      if (parity >= 0 && ((g[0] + g[1] + g[2] + g[3]) & 1) != parity) continue;
+      const Coord4 x = local.coords(s);
+      Spinor acc;
+      for (int mu = 0; mu < kNd; ++mu) {
+        const auto m = static_cast<std::size_t>(mu);
+        const auto hop = [&](int d) {
+          Coord4 y = g;
+          y[m] += d;
+          return geom.owner(y);
+        };
+        // Forward hop: U_mu(x) (1 - gamma_mu) psi(x+mu).
+        const auto [rf, sf] = hop(+1);
+        HalfSpinor h = project(mu, +1, load_spinor(in.site(rf, sf)));
+        if (x[m] + 1 == local.extent()[m]) h = through_wire(h, prec);
+        const Su3Matrix u = gauge.link(r, s, mu);
+        HalfSpinor uh;
+        uh[0] = u * h[0];
+        uh[1] = u * h[1];
+        acc += reconstruct(mu, +1, uh);
+        // Backward hop: U_mu^+(x-mu) (1 + gamma_mu) psi(x-mu), with U^+
+        // applied by the sender when x-mu is off-node.
+        const auto [rb, sb] = hop(-1);
+        HalfSpinor hb = project(mu, -1, load_spinor(in.site(rb, sb)));
+        const Su3Matrix ub = gauge.link(rb, sb, mu);
+        hb[0] = adj_mul(ub, hb[0]);
+        hb[1] = adj_mul(ub, hb[1]);
+        if (x[m] == 0) hb = through_wire(hb, prec);
+        acc += reconstruct(mu, -1, hb);
+      }
+      store_spinor(out.site(r, s), acc);
+    }
+  }
+}
+
+/// Byte equality of two fields; NaN components need only both be NaN when
+/// `nan_equal` (their payload bits depend on operand order the compiler
+/// picks, not on the source).
+::testing::AssertionResult same_bits(const DistField& a, const DistField& b,
+                                     bool nan_equal = false) {
+  for (int r = 0; r < a.ranks(); ++r) {
+    const auto da = a.data(r);
+    const auto db = b.data(r);
+    for (std::size_t k = 0; k < da.size(); ++k) {
+      if (std::memcmp(&da[k], &db[k], sizeof(double)) == 0) continue;
+      if (nan_equal && std::isnan(da[k]) && std::isnan(db[k])) continue;
+      return ::testing::AssertionFailure()
+             << "rank " << r << " word " << k << ": " << da[k] << " vs "
+             << db[k];
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+void fill_gaussian(DistField& f, Rng& rng) {
+  for (int r = 0; r < f.ranks(); ++r) {
+    for (double& x : f.data(r)) x = rng.next_gaussian();
+  }
+}
+
+/// Every entry point of the operator against the reference: dslash,
+/// dslash_parity (the other parity keeps what `out` held), apply and
+/// apply_dag (M^+ = g5 M g5).
+void expect_matches_reference(LatticeRig& rig, GaugeField& gauge,
+                              WilsonDirac& op, DistField& in,
+                              bool nan_equal) {
+  const Precision prec = op.params().precision;
+  const double kappa = op.params().kappa;
+  DistField out = op.make_field("out");
+  DistField ref = op.make_field("ref");
+  Rng rng(17);
+
+  op.dslash(out, in);
+  reference_dslash(*rig.geom, gauge, in, ref, prec, -1);
+  EXPECT_TRUE(same_bits(out, ref, nan_equal)) << "dslash";
+
+  for (int parity : {0, 1}) {
+    fill_gaussian(out, rng);
+    rig.ops->copy(out, ref);
+    op.dslash_parity(out, in, parity);
+    reference_dslash(*rig.geom, gauge, in, ref, prec, parity);
+    EXPECT_TRUE(same_bits(out, ref, nan_equal)) << "dslash_parity " << parity;
+  }
+
+  op.apply(out, in);
+  reference_dslash(*rig.geom, gauge, in, ref, prec, -1);
+  rig.ops->xpay(in, -kappa, ref);
+  EXPECT_TRUE(same_bits(out, ref, nan_equal)) << "apply";
+
+  op.apply_dag(out, in);
+  WilsonDirac::apply_gamma5(in);
+  reference_dslash(*rig.geom, gauge, in, ref, prec, -1);
+  rig.ops->xpay(in, -kappa, ref);
+  WilsonDirac::apply_gamma5(in);
+  WilsonDirac::apply_gamma5(ref);
+  EXPECT_TRUE(same_bits(out, ref, nan_equal)) << "apply_dag";
+}
+
+/// (2x2x2x2 nodes rather than one, storage precision, overlap_comm).
+using KernelCase = std::tuple<bool, Precision, bool>;
+
+class WilsonKernelOracle : public ::testing::TestWithParam<KernelCase> {};
+
+TEST_P(WilsonKernelOracle, MatchesReferenceHopLoopBitForBit) {
+  const auto [partitioned, precision, overlap_comm] = GetParam();
+  // Local {2, 3, 2, 4} when partitioned: ranks of both origin parities,
+  // sites with and without off-node neighbours.
+  LatticeRig rig(partitioned ? std::array<int, 6>{2, 2, 2, 2, 1, 1}
+                             : std::array<int, 6>{1, 1, 1, 1, 1, 1},
+                 {4, 6, 4, 8});
+  GaugeField gauge(rig.comm.get(), rig.geom.get());
+  Rng rng(0x0dac1e);
+  gauge.randomize(rng);
+  WilsonDirac op(rig.ops.get(), rig.geom.get(), &gauge,
+                 WilsonParams{.kappa = 0.124,
+                              .overlap_comm = overlap_comm,
+                              .precision = precision});
+  DistField in = op.make_field("in");
+  fill_gaussian(in, rng);
+  expect_matches_reference(rig, gauge, op, in, false);
+  // The first apply of every CG started from x = 0.
+  in.zero();
+  expect_matches_reference(rig, gauge, op, in, false);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Kernels, WilsonKernelOracle,
+    ::testing::Combine(::testing::Bool(),
+                       ::testing::Values(Precision::kDouble, Precision::kSingle,
+                                         Precision::kHalf),
+                       ::testing::Bool()),
+    [](const ::testing::TestParamInfo<KernelCase>& info) {
+      const Precision p = std::get<1>(info.param);
+      const char* prec = p == Precision::kDouble   ? "Double"
+                         : p == Precision::kSingle ? "Single"
+                                                   : "Half";
+      return std::string(std::get<0>(info.param) ? "Nodes16" : "Node1") +
+             prec + (std::get<2>(info.param) ? "Overlap" : "Sequential");
+    });
+
+TEST(WilsonKernelOracle, NonFiniteInputMatchesReference) {
+  // (inf, inf) components make complex products whose parts both come out
+  // NaN, which std::complex recomputes to recover the infinities.
+  LatticeRig rig({1, 1, 1, 1, 1, 1}, {4, 4, 4, 4});
+  GaugeField gauge(rig.comm.get(), rig.geom.get());
+  Rng rng(0x1bf);
+  gauge.randomize(rng);
+  WilsonDirac op(rig.ops.get(), rig.geom.get(), &gauge,
+                 WilsonParams{.kappa = 0.124});
+  DistField in = op.make_field("in");
+  fill_gaussian(in, rng);
+  const double inf = std::numeric_limits<double>::infinity();
+  for (int s : {0, 21, 170}) {
+    double* p = in.site(0, s);
+    p[0] = p[1] = inf;    // spin 0, colour 0
+    p[20] = p[21] = -inf;  // spin 3, colour 1
+  }
+  expect_matches_reference(rig, gauge, op, in, true);
 }
 
 // --- Clover -----------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <set>
+#include <vector>
 
 #include "lattice_fixture.h"
 
@@ -68,6 +69,95 @@ TEST(LocalGeometry, FaceLayerSitesMatchNeighborIndexing) {
       Coord4 x = g.coords(s);
       x[static_cast<std::size_t>(mu)] = 0;
       EXPECT_EQ(packed[static_cast<std::size_t>(n.index)], g.index(x));
+    }
+  }
+}
+
+TEST(GeometryTables, MatchCoordinateArithmeticOnAsymmetricExtents) {
+  // Local extents {3, 1, 2, 5}: extent-1 and extent-2 dims put every hop
+  // along them off-node, and the 2x2x2x2 partition gives ranks of both
+  // origin parities along the odd extents.  The tables must agree with the
+  // coordinate arithmetic they were built to replace, kept here.
+  LatticeRig rig({2, 2, 2, 2, 1, 1}, {6, 2, 4, 10});
+  const GlobalGeometry& geom = *rig.geom;
+  const LocalGeometry& g = geom.local();
+  const Coord4 e = g.extent();
+  ASSERT_EQ(e, (Coord4{3, 1, 2, 5}));
+  const auto at = [](const Coord4& x, int mu) {
+    return x[static_cast<std::size_t>(mu)];
+  };
+  const auto coords = [&](int idx) {
+    Coord4 x;
+    for (std::size_t m = 0; m < 4; ++m) {
+      x[m] = idx % e[m];
+      idx /= e[m];
+    }
+    return x;
+  };
+  const auto lex = [&](const Coord4& x) {
+    return ((x[3] * e[2] + x[2]) * e[1] + x[1]) * e[0] + x[0];
+  };
+  const auto transverse = [&](const Coord4& x, int mu) {
+    int t = 0;
+    for (int nu = 3; nu >= 0; --nu) {
+      if (nu != mu) t = t * at(e, nu) + at(x, nu);
+    }
+    return t;
+  };
+
+  for (int s = 0; s < g.volume(); ++s) {
+    const Coord4 x = coords(s);
+    for (int mu = 0; mu < 4; ++mu) {
+      const auto m = static_cast<std::size_t>(mu);
+      for (int dir : {+1, -1}) {
+        for (int dist = 1; dist <= 3; ++dist) {
+          const int target = x[m] + dir * dist;
+          const bool local = target >= 0 && target < e[m];
+          // A hop that leaves the node reaches at most one node deep.
+          if (!local && dist > e[m]) continue;
+          int expect = 0;
+          if (local) {
+            Coord4 y = x;
+            y[m] = target;
+            expect = lex(y);
+          } else {
+            const int layer = dir > 0 ? target - e[m] : -target - 1;
+            expect = layer * (g.volume() / e[m]) + transverse(x, mu);
+          }
+          const auto n = g.neighbor(s, mu, dir, dist);
+          EXPECT_EQ(n.local, local)
+              << "s " << s << " mu " << mu << " dir " << dir << " dist " << dist;
+          EXPECT_EQ(n.index, expect)
+              << "s " << s << " mu " << mu << " dir " << dir << " dist " << dist;
+        }
+      }
+    }
+  }
+
+  for (int mu = 0; mu < 4; ++mu) {
+    const auto m = static_cast<std::size_t>(mu);
+    for (int dir : {+1, -1}) {
+      for (int layer = 0; layer < e[m]; ++layer) {
+        const int x_mu = dir > 0 ? layer : e[m] - 1 - layer;
+        std::vector<int> expect(static_cast<std::size_t>(g.volume() / e[m]));
+        for (int s = 0; s < g.volume(); ++s) {
+          const Coord4 x = coords(s);
+          if (x[m] == x_mu) expect[static_cast<std::size_t>(transverse(x, mu))] = s;
+        }
+        const auto sites = g.face_layer_sites(mu, dir, layer);
+        EXPECT_EQ(std::vector<int>(sites.begin(), sites.end()), expect)
+            << "mu " << mu << " dir " << dir << " layer " << layer;
+      }
+    }
+  }
+
+  for (int r = 0; r < geom.ranks(); ++r) {
+    const torus::Coord lc = geom.partition().logical_coord(r);
+    for (int s = 0; s < g.volume(); ++s) {
+      const Coord4 x = coords(s);
+      int sum = 0;
+      for (int mu = 0; mu < 4; ++mu) sum += lc.c[mu] * at(e, mu) + at(x, mu);
+      EXPECT_EQ(geom.parity(r, s), sum & 1) << "rank " << r << " site " << s;
     }
   }
 }

@@ -5,7 +5,6 @@
 #include "cpu/timing.h"
 #include "fault/fault.h"
 #include "machine/machine.h"
-#include "memsys/dcache.h"
 #include "memsys/memsys.h"
 #include "memsys/scrub.h"
 
@@ -80,13 +79,6 @@ TEST(MemTiming, DdrIsSlowerThanEdram) {
   // Multi-stream DDR thrashes pages.
   EXPECT_GT(t.stream_cycles(Region::kDdr, 4096, 4),
             t.stream_cycles(Region::kDdr, 4096, 1));
-}
-
-TEST(DCache, WorkingSetModel) {
-  DCacheConfig c;
-  EXPECT_DOUBLE_EQ(cache_hit_fraction(c, 16 * 1024, 4), 0.75);
-  EXPECT_DOUBLE_EQ(cache_hit_fraction(c, 64 * 1024, 4), 0.0);
-  EXPECT_DOUBLE_EQ(cache_hit_fraction(c, 1024, 1), 0.0);
 }
 
 TEST(CpuModel, FpuBoundKernel) {
