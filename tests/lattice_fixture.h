@@ -5,6 +5,7 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cmath>
 #include <memory>
 #include <utility>
@@ -16,6 +17,7 @@
 #include "lattice/linalg.h"
 #include "lattice/wilson.h"
 #include "machine/bsp.h"
+#include "sim/engine.h"
 
 namespace qcdoc::lattice::testing {
 
@@ -123,6 +125,18 @@ inline void fill_gauge_by_global_site(const GlobalGeometry& geom,
       }
     }
   }
+}
+
+/// FNV-1a over every bit of a field's body, rank by rank: the bit-identity
+/// fingerprint of a solution vector.
+inline u64 field_fnv(const DistField& f) {
+  u64 h = sim::detail::kFnvOffset;
+  for (int r = 0; r < f.ranks(); ++r) {
+    for (const double v : f.data(r)) {
+      h = sim::detail::fnv1a(h, std::bit_cast<u64>(v));
+    }
+  }
+  return h;
 }
 
 /// Gather a distributed field into one flat global array ordered by global

@@ -454,16 +454,6 @@ struct CampaignOutcome {
       default;
 };
 
-u64 field_bits_fnv(const DistField& f) {
-  u64 h = sim::detail::kFnvOffset;
-  for (int r = 0; r < f.ranks(); ++r) {
-    for (const double v : f.data(r)) {
-      h = sim::detail::fnv1a(h, std::bit_cast<u64>(v));
-    }
-  }
-  return h;
-}
-
 CampaignOutcome run_campaign(int sim_threads = 1) {
   CampaignOutcome out;
   machine::MachineConfig cfg;
@@ -558,7 +548,7 @@ CampaignOutcome run_campaign(int sim_threads = 1) {
         out.audit_failures = r.audit_failures;
         out.residual = r.relative_residual;
         out.check_residual = true_residual(op, x, b);
-        out.field_checksum = field_bits_fnv(x);
+        out.field_checksum = testing::field_fnv(x);
         log.push_back("cg restarts: " + std::to_string(r.restarts));
       });
   out.job_ok = job.ok;
@@ -714,7 +704,7 @@ MemSoakOutcome run_mem_soak(bool faulted, int sim_threads = 1) {
         out.restarts = r.restarts;
         out.mem_checks = r.mem_checks;
         out.residual_bits = std::bit_cast<u64>(r.relative_residual);
-        out.field_checksum = field_bits_fnv(x);
+        out.field_checksum = testing::field_fnv(x);
         log.push_back("cg restarts: " + std::to_string(r.restarts));
       });
   out.job_ok = job.ok;

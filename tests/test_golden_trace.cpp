@@ -26,6 +26,7 @@
 #include "lattice/cg.h"
 #include "lattice/rig.h"
 #include "lattice/wilson.h"
+#include "lattice_fixture.h"
 #include "sim/engine.h"
 
 #ifndef QCDOC_GOLDEN_DIR
@@ -47,16 +48,6 @@ struct TraceSummary {
 
   friend bool operator==(const TraceSummary&, const TraceSummary&) = default;
 };
-
-u64 field_fnv(const DistField& f) {
-  u64 h = sim::detail::kFnvOffset;
-  for (int r = 0; r < f.ranks(); ++r) {
-    for (const double v : f.data(r)) {
-      h = sim::detail::fnv1a(h, std::bit_cast<u64>(v));
-    }
-  }
-  return h;
-}
 
 TraceSummary run_workload(int threads) {
   machine::MachineConfig cfg;
@@ -90,7 +81,7 @@ TraceSummary run_workload(int threads) {
   s.events = m.engine().events_executed();
   s.end_cycle = m.engine().now();
   s.residual_bits = std::bit_cast<u64>(r.relative_residual);
-  s.field_checksum = field_fnv(x);
+  s.field_checksum = testing::field_fnv(x);
   return s;
 }
 
