@@ -232,33 +232,6 @@ u64 field_fnv(const lattice::DistField& f) {
   return h;
 }
 
-void encode_solver(const lattice::CgCheckpoint& ck, snapshot::ByteSink* sink) {
-  sink->put_u32(static_cast<u32>(ck.iterations));
-  sink->put_double(ck.rsq);
-  sink->put_double(ck.rhs_norm2);
-  sink->put_u32(static_cast<u32>(ck.restarts));
-  sink->put_u64(ck.audits);
-  sink->put_u64(ck.audit_failures);
-  sink->put_u64(ck.mem_checks);
-}
-
-snapshot::Status decode_solver(const snapshot::SnapshotFile& file,
-                               lattice::CgCheckpoint* ck) {
-  std::optional<snapshot::ByteSource> src;
-  if (snapshot::Status s = file.open(snapshot::kSecSolver, &src); !s) return s;
-  u32 iterations = 0, restarts = 0;
-  if (snapshot::Status s = src->get_u32(&iterations); !s) return s;
-  if (snapshot::Status s = src->get_double(&ck->rsq); !s) return s;
-  if (snapshot::Status s = src->get_double(&ck->rhs_norm2); !s) return s;
-  if (snapshot::Status s = src->get_u32(&restarts); !s) return s;
-  if (snapshot::Status s = src->get_u64(&ck->audits); !s) return s;
-  if (snapshot::Status s = src->get_u64(&ck->audit_failures); !s) return s;
-  if (snapshot::Status s = src->get_u64(&ck->mem_checks); !s) return s;
-  ck->iterations = static_cast<int>(iterations);
-  ck->restarts = static_cast<int>(restarts);
-  return src->expect_exhausted();
-}
-
 constexpr int kCkptInterval = 5;
 
 struct CkptPoint {
@@ -328,9 +301,7 @@ CkptPoint checkpoint_solve(const char* scenario, int planned,
       std::printf("  checkpoint capture failed: %s\n", s.reason.c_str());
       return;
     }
-    snapshot::ByteSink solver;
-    encode_solver(ck, &solver);
-    file.add_section(snapshot::kSecSolver, std::move(solver));
+    lattice::encode_checkpoint(ck, &file);
     const auto t0 = std::chrono::steady_clock::now();
     if (snapshot::Status s = store.save(&file); !s) {
       std::printf("  checkpoint save failed: %s\n", s.reason.c_str());
@@ -397,7 +368,7 @@ RestartPoint restart_solve(const std::string& dir) {
     std::printf("  restart restore failed: %s\n", s.reason.c_str());
     return point;
   }
-  if (snapshot::Status s = decode_solver(file, &ck); !s) {
+  if (snapshot::Status s = lattice::decode_checkpoint(file, &ck); !s) {
     std::printf("  restart solver decode failed: %s\n", s.reason.c_str());
     return point;
   }

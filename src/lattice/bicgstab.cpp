@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/log.h"
+#include "lattice/krylov.h"
 
 namespace qcdoc::lattice {
 
@@ -30,14 +31,7 @@ CgResult bicgstab_solve(DiracOperator& op, DistField& x, DistField& b,
 CgResult bicgstab_solve(DiracOperator& op, DistField& x, DistField& b,
                         const CgParams& params, BicgWorkspace& ws) {
   FieldOps& ops = op.ops();
-  auto& bsp = ops.bsp();
-
-  const Cycle start_cycle = bsp.now();
-  const double start_flops = ops.flops();
-  const double start_compute = bsp.compute_cycles();
-  const double start_comm = bsp.comm_cycles();
-  const double start_global = bsp.global_cycles();
-  const TrafficByPrecision start_traffic = ops.traffic();
+  const SolveMeter meter(ops);
 
   DistField& r = ws.r;
   DistField& rhat = ws.rhat;
@@ -102,18 +96,12 @@ CgResult bicgstab_solve(DiracOperator& op, DistField& x, DistField& b,
   }
 
   const double final_r = ops.norm2(r);
-  result.relative_residual =
-      b_norm2 > 0 ? std::sqrt(final_r / b_norm2) : std::sqrt(final_r);
+  result.relative_residual = relative_norm(final_r, b_norm2);
   if (params.fixed_iterations > 0) {
     result.converged = result.relative_residual <= params.tolerance;
   }
 
-  result.cycles = bsp.now() - start_cycle;
-  result.flops = ops.flops() - start_flops;
-  result.compute_cycles = bsp.compute_cycles() - start_compute;
-  result.comm_cycles = bsp.comm_cycles() - start_comm;
-  result.global_cycles = bsp.global_cycles() - start_global;
-  result.traffic = ops.traffic() - start_traffic;
+  meter.finish(result);
   QCDOC_INFO << "bicgstab[" << op.name() << "]: " << result.iterations
              << " iterations, |r|/|b| = " << result.relative_residual;
   return result;

@@ -1,9 +1,10 @@
 #include "lattice/cg.h"
 
-#include <cmath>
 #include <optional>
 
 #include "common/log.h"
+#include "lattice/krylov.h"
+#include "snapshot/format.h"
 
 namespace qcdoc::lattice {
 
@@ -16,14 +17,7 @@ namespace {
 CgResult cg_run(DiracOperator& op, DistField& x, DistField& b,
                 const CgParams& params, const CgAuditParams* audit) {
   FieldOps& ops = op.ops();
-  auto& bsp = ops.bsp();
-
-  const Cycle start_cycle = bsp.now();
-  const double start_flops = ops.flops();
-  const double start_compute = bsp.compute_cycles();
-  const double start_comm = bsp.comm_cycles();
-  const double start_global = bsp.global_cycles();
-  const TrafficByPrecision start_traffic = ops.traffic();
+  const SolveMeter meter(ops);
 
   // Working fields: an externally supplied workspace (the resume path, which
   // must allocate before restoring memory contents) or internal allocations
@@ -48,7 +42,7 @@ CgResult cg_run(DiracOperator& op, DistField& x, DistField& b,
   DistField& ap = ws ? ws->ap : *plain_ap;
   DistField* xck = ws ? &ws->xck : nullptr;  // last known-clean checkpoint
 
-  double rsq = 0;
+  CgCheckpoint st;  // loop scalars
   // r = M^+ b - M^+ M x (normal equations); with x = 0 this is r = M^+ b.
   const auto recompute_residual = [&] {
     op.apply_dag(r, b);
@@ -56,154 +50,43 @@ CgResult cg_run(DiracOperator& op, DistField& x, DistField& b,
     op.apply_dag(ap, tmp);
     ops.axpy(-1.0, ap, r);
     ops.copy(r, p);
-    rsq = ops.norm2(r);
+    st.rsq = ops.norm2(r);
   };
-
-  CgResult result;
-  // One audit of the interval since the previous call: link checksums and
-  // memory machine checks are independent detectors feeding the same
-  // rollback.  Both are always polled (never short-circuited) so each
-  // detector's baseline advances and a dirty interval is fully consumed.
-  const auto interval_clean = [&]() -> bool {
-    ++result.audits;
-    bool ok = true;
-    if (audit->clean && !audit->clean()) {
-      ++result.audit_failures;
-      ok = false;
-    }
-    if (audit->mem_clean && !audit->mem_clean()) {
-      ++result.mem_checks;
-      ok = false;
-    }
-    return ok;
+  const auto roll_back = [&] {
+    ops.copy(*xck, x);
+    recompute_residual();
   };
-  double rhs_norm2 = 0;  // reference scale: |M^+ b| for x0 = 0
-  const auto fire_checkpoint = [&] {
-    if (!audit || !audit->on_checkpoint) return;
-    CgCheckpoint ck;
-    ck.iterations = result.iterations;
-    ck.rsq = rsq;
-    ck.rhs_norm2 = rhs_norm2;
-    ck.restarts = result.restarts;
-    ck.audits = result.audits;
-    ck.audit_failures = result.audit_failures;
-    ck.mem_checks = result.mem_checks;
-    audit->on_checkpoint(ck);
-  };
+  std::optional<AuditPolicy> policy;
+  if (audit) {
+    policy.emplace(*audit, st, [&] { ops.copy(x, *xck); }, roll_back,
+                   &audit->on_checkpoint);
+  }
   if (audit && audit->resume) {
     // x and the workspace fields already hold the checkpoint's restored
     // contents (loop-top state); recomputing anything would diverge from
     // the uninterrupted run's event trace.
-    const CgCheckpoint& ck = *audit->resume;
-    result.iterations = ck.iterations;
-    result.restarts = ck.restarts;
-    result.audits = ck.audits;
-    result.audit_failures = ck.audit_failures;
-    result.mem_checks = ck.mem_checks;
-    rsq = ck.rsq;
-    rhs_norm2 = ck.rhs_norm2;
+    policy->resume(*audit->resume);
   } else {
     if (audit) ops.copy(x, *xck);
     recompute_residual();
-    if (audit) {
-      // Baseline audit: the initial residual itself crosses the mesh, and a
-      // corruption here would poison the reference scale.
-      while (!interval_clean() && result.restarts < audit->max_restarts) {
-        ++result.restarts;
-        ops.copy(*xck, x);
-        recompute_residual();
-      }
-    }
-    rhs_norm2 = rsq;
-    fire_checkpoint();
+    if (policy) policy->baseline(roll_back);
+    st.rhs_norm2 = st.rsq;
+    if (policy) policy->fire();
   }
-  const double target =
-      params.tolerance * params.tolerance * (rhs_norm2 > 0 ? rhs_norm2 : 1.0);
 
-  const int iters = params.fixed_iterations > 0 ? params.fixed_iterations
-                                                : params.max_iterations;
-  // With restarts, rolled-back iterations don't count as productive work;
-  // the guard bounds total loop trips even if every interval is dirty.
-  const int max_trips =
-      audit ? iters * (audit->max_restarts + 1) + audit->max_restarts : iters;
-  int since_audit = 0;
-  bool gave_up = false;
-  for (int trip = 0; trip < max_trips && result.iterations < iters; ++trip) {
-    bool checkpointed = false;
-    // ap = M^+ M p   (two Dirac applications per iteration)
-    op.apply(tmp, p);
-    op.apply_dag(ap, tmp);
-
-    const double p_ap = ops.dot_re(p, ap);
-    if (p_ap == 0.0) break;
-    const double alpha = rsq / p_ap;
-    ops.axpy(alpha, p, x);
-    ops.axpy(-alpha, ap, r);
-    const double rsq_new = ops.norm2(r);
-    ++result.iterations;
-    ++since_audit;
-
-    const bool looks_converged =
-        params.fixed_iterations == 0 && rsq_new < target;
-
-    if (audit && (looks_converged || since_audit >= audit->interval ||
-                  result.iterations == iters)) {
-      if (!interval_clean()) {
-        // Corruption somewhere in this interval -- bad link traffic or an
-        // uncorrectable memory word: every iterate since the checkpoint is
-        // suspect.  Roll back and recompute the true residual; the
-        // checkpoint copy rewrites any poisoned words with known-good
-        // data, and the recomputation is itself audited.
-        bool recovered = false;
-        while (result.restarts < audit->max_restarts) {
-          ++result.restarts;
-          result.iterations -= since_audit;  // the interval was wasted
-          ops.copy(*xck, x);
-          recompute_residual();
-          since_audit = 0;
-          if (interval_clean()) {
-            recovered = true;
-            break;
-          }
-        }
-        if (!recovered) {
-          gave_up = true;
-          rsq = rsq_new;
-          break;
-        }
-        continue;  // p == r after recompute; restart the Krylov space
-      }
-      ops.copy(x, *xck);
-      since_audit = 0;
-      checkpointed = true;
-    }
-
-    if (looks_converged) {
-      // Without auditing this is immediate; with auditing we only reach
-      // here after the interval just passed a clean audit.
-      result.converged = true;
-      rsq = rsq_new;
-      break;
-    }
-    const double beta = rsq_new / rsq;
-    rsq = rsq_new;
-    ops.xpay(r, beta, p);
-    // Loop-top state is complete (p updated): a clean checkpoint taken this
-    // trip is now resumable, so let the snapshot layer persist it.
-    if (checkpointed) fire_checkpoint();
-  }
-  result.relative_residual =
-      rhs_norm2 > 0 ? std::sqrt(rsq / rhs_norm2) : std::sqrt(rsq);
+  CgIteration cg{ops, NormalOp{op, tmp}, x, r, p, ap, st.rsq};
+  CgResult result;
+  result.converged =
+      cg_loop(cg, st.iterations, params,
+              cg_target(params.tolerance, st.rhs_norm2),
+              policy ? &*policy : nullptr);
+  const bool gave_up = policy && policy->gave_up();
+  report_counters(st, result);
+  result.relative_residual = relative_norm(st.rsq, st.rhs_norm2);
   if (params.fixed_iterations > 0 && !gave_up) {
     result.converged = result.relative_residual <= params.tolerance;
   }
-
-  result.cycles = bsp.now() - start_cycle;
-  result.flops = ops.flops() - start_flops;
-  result.compute_cycles = bsp.compute_cycles() - start_compute;
-  result.comm_cycles = bsp.comm_cycles() - start_comm;
-  result.global_cycles = bsp.global_cycles() - start_global;
-  result.traffic = ops.traffic() - start_traffic;
+  meter.finish(result);
   QCDOC_INFO << "cg[" << op.name() << "]: " << result.iterations
              << " iterations, |r|/|b| = " << result.relative_residual
              << (audit ? (", " + std::to_string(result.restarts) + " restarts")
@@ -222,6 +105,38 @@ CgWorkspace CgWorkspace::make(DiracOperator& op) {
                      op.make_field("cg.xck")};
 }
 
+void encode_checkpoint(const CgCheckpoint& ck, snapshot::SnapshotFile* file) {
+  snapshot::ByteSink sink;
+  sink.put_u32(static_cast<u32>(ck.iterations));
+  sink.put_u32(static_cast<u32>(ck.reliable_updates));
+  sink.put_double(ck.rsq);
+  sink.put_double(ck.rhs_norm2);
+  sink.put_u32(static_cast<u32>(ck.restarts));
+  sink.put_u64(ck.audits);
+  sink.put_u64(ck.audit_failures);
+  sink.put_u64(ck.mem_checks);
+  file->add_section(snapshot::kSecSolver, std::move(sink));
+}
+
+snapshot::Status decode_checkpoint(const snapshot::SnapshotFile& file,
+                                   CgCheckpoint* ck) {
+  std::optional<snapshot::ByteSource> src;
+  if (snapshot::Status s = file.open(snapshot::kSecSolver, &src); !s) return s;
+  u32 iterations = 0, reliable_updates = 0, restarts = 0;
+  if (snapshot::Status s = src->get_u32(&iterations); !s) return s;
+  if (snapshot::Status s = src->get_u32(&reliable_updates); !s) return s;
+  if (snapshot::Status s = src->get_double(&ck->rsq); !s) return s;
+  if (snapshot::Status s = src->get_double(&ck->rhs_norm2); !s) return s;
+  if (snapshot::Status s = src->get_u32(&restarts); !s) return s;
+  if (snapshot::Status s = src->get_u64(&ck->audits); !s) return s;
+  if (snapshot::Status s = src->get_u64(&ck->audit_failures); !s) return s;
+  if (snapshot::Status s = src->get_u64(&ck->mem_checks); !s) return s;
+  ck->iterations = static_cast<int>(iterations);
+  ck->reliable_updates = static_cast<int>(reliable_updates);
+  ck->restarts = static_cast<int>(restarts);
+  return src->expect_exhausted();
+}
+
 CgResult cg_solve(DiracOperator& op, DistField& x, DistField& b,
                   const CgParams& params) {
   return cg_run(op, x, b, params, nullptr);
@@ -230,11 +145,7 @@ CgResult cg_solve(DiracOperator& op, DistField& x, DistField& b,
 CgResult cg_solve_audited(DiracOperator& op, DistField& x, DistField& b,
                           const CgParams& params,
                           const CgAuditParams& audit) {
-  if (!audit.clean && !audit.mem_clean && !audit.on_checkpoint &&
-      audit.workspace == nullptr && audit.resume == nullptr) {
-    return cg_run(op, x, b, params, nullptr);
-  }
-  return cg_run(op, x, b, params, &audit);
+  return cg_run(op, x, b, params, audit.armed() ? &audit : nullptr);
 }
 
 }  // namespace qcdoc::lattice

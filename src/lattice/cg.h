@@ -12,6 +12,11 @@
 
 #include "lattice/dirac.h"
 
+namespace qcdoc::snapshot {
+class SnapshotFile;
+struct Status;
+}  // namespace qcdoc::snapshot
+
 namespace qcdoc::lattice {
 
 struct CgParams {
@@ -22,12 +27,14 @@ struct CgParams {
   int fixed_iterations = 0;
 };
 
-/// Solver scalars at a clean audit checkpoint.  Together with the field
-/// contents -- x and the workspace fields live in simulated node memory and
-/// ride a machine snapshot -- this is everything needed to resume the exact
-/// Krylov trajectory in a fresh process.
+/// Solver scalars at a clean audit checkpoint -- the one checkpoint record
+/// of every resumable solver (cg_solve_audited, mixed_cg_solve_audited).
+/// Together with the field contents -- x and the workspace fields live in
+/// simulated node memory and ride a machine snapshot -- this is everything
+/// needed to resume the exact Krylov trajectory in a fresh process.
 struct CgCheckpoint {
   int iterations = 0;
+  int reliable_updates = 0;  ///< mixed solvers: completed outer cycles
   double rsq = 0;        ///< |r|^2 at the checkpoint (bit pattern matters)
   double rhs_norm2 = 0;  ///< reference scale |M^+ b|^2
   int restarts = 0;
@@ -35,6 +42,11 @@ struct CgCheckpoint {
   u64 audit_failures = 0;
   u64 mem_checks = 0;
 };
+
+/// The kSecSolver snapshot section: the one byte layout of a CgCheckpoint.
+void encode_checkpoint(const CgCheckpoint& ck, snapshot::SnapshotFile* file);
+snapshot::Status decode_checkpoint(const snapshot::SnapshotFile& file,
+                                   CgCheckpoint* ck);
 
 /// The audited solver's working fields, in the solver's canonical
 /// allocation order.  Normally allocated internally; a resuming process
@@ -46,11 +58,11 @@ struct CgWorkspace {
   static CgWorkspace make(DiracOperator& op);
 };
 
-/// Checksum-audit policy for the fault-tolerant solver.  The paper compares
+/// Checksum-audit policy of the fault-tolerant solvers.  The paper compares
 /// per-link checksums at the end of a calculation; auditing every few
 /// iterations instead lets a multi-day run restart from its last known-clean
 /// checkpoint when an undetected corruption slips past the link parity.
-struct CgAuditParams {
+struct AuditParams {
   /// Returns true when all link traffic since the *previous* call matched
   /// checksums (e.g. fault::ChecksumAuditor::clean_since_last).  Called at
   /// iteration boundaries, where the BSP runtime leaves the mesh quiescent.
@@ -63,29 +75,45 @@ struct CgAuditParams {
   /// of `clean` / `mem_clean` may be set; both are always polled so each
   /// detector's interval baseline advances.
   std::function<bool()> mem_clean;
-  int interval = 10;     ///< iterations between audits
+  /// Units of work between audits: iterations, or a mixed solver's outer
+  /// cycles.
+  int interval = 10;
   int max_restarts = 8;  ///< give up after this many rollbacks
+};
 
+/// Audit policy plus the crash-consistency hooks of a resumable solver;
+/// `Workspace` is the solver's working-field set (CgWorkspace,
+/// MixedCgWorkspace).
+template <typename Workspace>
+struct ResumableAuditParams : AuditParams {
   /// Fired whenever the solver lands on a clean checkpoint: after the
-  /// baseline audit, and at the end of every loop trip whose audit passed.
-  /// The mesh is quiescent and the fields hold exactly loop-top state, so
-  /// this is where the snapshot layer writes a generation.
+  /// baseline audit, and at every clean audit once loop-top state is
+  /// complete.  The mesh is quiescent, so this is where the snapshot layer
+  /// writes a generation (encode_checkpoint).
   std::function<void(const CgCheckpoint&)> on_checkpoint;
-  /// Pre-allocated working fields (see CgWorkspace); null = allocate
-  /// internally.  Required when `resume` is set.
-  CgWorkspace* workspace = nullptr;
+  /// Pre-allocated working fields; null = allocate internally.  Required
+  /// when `resume` is set.
+  Workspace* workspace = nullptr;
   /// Resume from these scalars instead of computing the initial residual.
   /// x and the workspace fields must already hold the checkpoint's restored
   /// contents; the solver continues the trajectory bit-identically.
   const CgCheckpoint* resume = nullptr;
+
+  /// Whether any hook is set; an unarmed audit runs the plain solver.
+  bool armed() const {
+    return clean || mem_clean || on_checkpoint || workspace != nullptr ||
+           resume != nullptr;
+  }
 };
+
+using CgAuditParams = ResumableAuditParams<CgWorkspace>;
 
 struct CgResult {
   bool converged = false;
   int iterations = 0;
   double relative_residual = 0;
 
-  // Fault-tolerance accounting (cg_solve_audited only).
+  // Fault-tolerance accounting (audited solvers only).
   int restarts = 0;         ///< rollbacks to the last clean checkpoint
   u64 audits = 0;           ///< checksum audits performed
   u64 audit_failures = 0;   ///< audits that found corrupted traffic

@@ -1,9 +1,11 @@
 #include "lattice/eo_cg.h"
 
 #include <cmath>
+#include <string>
 
 #include "common/log.h"
 #include "comms/global_sum.h"
+#include "lattice/krylov.h"
 
 namespace qcdoc::lattice {
 namespace {
@@ -144,25 +146,102 @@ class ParityOps {
   int parity_;
 };
 
+/// ASQTAD's Schur operator on even sites, A p = m^2 p_e - (D_eo D_oe p)_e:
+/// two half-volume Dslash applications.
+struct AsqtadSchurOp {
+  AsqtadDirac& op;
+  const ParityOps& even;
+  DistField& tmp;
+  double m2;
+
+  void operator()(DistField& out, DistField& in) const {
+    op.dslash_parity(tmp, in, /*parity=*/1);   // tmp_o = (D in)_o
+    op.dslash_parity(out, tmp, /*parity=*/0);  // out_e = (D tmp)_e
+    even.m2_minus(m2, in, out);                // out_e = m^2 in_e - out_e
+  }
+};
+
+/// Wilson's Schur complement Mhat = 1 - kappa^2 D_eo D_oe on even sites,
+/// and the normal operator Mhat^+ Mhat the even-odd CG runs on.
+struct WilsonSchurOp {
+  WilsonDirac& op;
+  const ParityOps& even;
+  DistField& tmp;
+  DistField& mp;
+  double k2;
+
+  /// Mhat v (v pure-even): out_e = v_e - kappa^2 (D (D v)_odd)_e.
+  void mhat(DistField& out, DistField& v) const {
+    op.dslash_parity(tmp, v, /*parity=*/1);   // tmp_o = (D v)_o
+    op.dslash_parity(out, tmp, /*parity=*/0); // out_e = (D tmp)_e
+    even.lincomb(1.0, v, -k2, out);           // out_e = v_e - k^2 out_e
+  }
+  /// Mhat^+ = g5 Mhat g5 on the even sublattice.
+  void mhat_dag(DistField& out, DistField& v) const {
+    even.gamma5(v);
+    mhat(out, v);
+    even.gamma5(v);
+    even.gamma5(out);
+  }
+  void operator()(DistField& out, DistField& in) const {
+    mhat(mp, in);
+    mhat_dag(out, mp);
+  }
+};
+
+/// The core on the even sublattice: r holds the even right-hand side and
+/// p = r (zero on odd sites, so Dslash sees pure-even fields).
+template <typename Op>
+CgResult even_cg(CgIteration<ParityOps, Op>& cg, const CgParams& params) {
+  cg.rsq = cg.v.norm2(cg.r);
+  CgResult result;
+  result.converged = cg_loop(cg, result.iterations, params,
+                             cg_target(params.tolerance, cg.rsq));
+  return result;
+}
+
+/// Odd-site reconstruction x_o = odd_site(b_o, (D x)_o), then the
+/// full-system residual |b - M x| / |b| in `result`.
+template <typename Dirac, typename OddSite>
+void reconstruct_odd(Dirac& op, DistField& x, DistField& b, DistField& tmp,
+                     OddSite odd_site, const std::string& mx_label,
+                     const CgParams& params, CgResult& result) {
+  FieldOps& ops = op.ops();
+  const auto& geom = op.geometry();
+  op.dslash_parity(tmp, x, /*parity=*/1);  // tmp_o = (D x)_o
+  for (int rk = 0; rk < x.ranks(); ++rk) {
+    for (int s = 0; s < geom.local().volume(); ++s) {
+      if (geom.parity(rk, s) != 1) continue;
+      const double* pb = b.site(rk, s);
+      const double* pt = tmp.site(rk, s);
+      double* px = x.site(rk, s);
+      for (int k = 0; k < x.site_doubles(); ++k) {
+        px[k] = odd_site(pb[k], pt[k]);
+      }
+    }
+  }
+  // Account the reconstruction pass's stream cost.
+  ParityOps(&ops, &geom, /*parity=*/1).axpy(0.0, b, x);
+
+  DistField mx = op.make_field(mx_label);
+  op.apply(mx, x);
+  ops.axpy(-1.0, b, mx);
+  const double full_r = ops.norm2(mx);
+  const double full_b = ops.norm2(b);
+  result.relative_residual = full_b > 0 ? std::sqrt(full_r / full_b) : 0.0;
+  if (params.fixed_iterations > 0) {
+    result.converged = result.relative_residual <= params.tolerance;
+  }
+}
+
 }  // namespace
 
 CgResult asqtad_eo_solve(AsqtadDirac& op, DistField& x, DistField& b,
                          const CgParams& params) {
   FieldOps& ops = op.ops();
-  auto& bsp = ops.bsp();
-  const auto& geom = op.geometry();
+  const SolveMeter meter(ops);
   const double m = op.params().mass;
-  const double m2 = m * m;
-
-  const Cycle start_cycle = bsp.now();
-  const double start_flops = ops.flops();
-  const double start_compute = bsp.compute_cycles();
-  const double start_comm = bsp.comm_cycles();
-  const double start_global = bsp.global_cycles();
-  const TrafficByPrecision start_traffic = ops.traffic();
-
-  ParityOps even(&ops, &geom, 0);
-  ParityOps odd(&ops, &geom, 1);
+  ParityOps even(&ops, &op.geometry(), /*parity=*/0);
 
   DistField tmp = op.make_field("eo.tmp");
   DistField r = op.make_field("eo.r");
@@ -174,74 +253,17 @@ CgResult asqtad_eo_solve(AsqtadDirac& op, DistField& x, DistField& b,
   r.zero();
   op.dslash_parity(r, b, /*parity=*/0);  // r_e = (D b)_e
   even.m2_minus(m, b, r);                // r_e = m b_e - (D b)_e
-
-  // p starts as r on even sites, zero on odd (dslash_parity(.., p, odd)
-  // must see a pure-even field).
   p.zero();
   even.copy(r, p);
 
-  double rsq = even.norm2(r);
-  const double rhs_norm2 = rsq > 0 ? rsq : 1.0;
-  const double target = params.tolerance * params.tolerance * rhs_norm2;
-
-  CgResult result;
-  const int iters = params.fixed_iterations > 0 ? params.fixed_iterations
-                                                : params.max_iterations;
-  for (int it = 0; it < iters; ++it) {
-    // ap_e = A p = m^2 p_e - (D_eo D_oe p)_e : two half-volume Dslashes.
-    op.dslash_parity(tmp, p, /*parity=*/1);  // tmp_o = (D p)_o
-    op.dslash_parity(ap, tmp, /*parity=*/0); // ap_e = (D tmp)_e
-    even.m2_minus(m2, p, ap);                // ap_e = m^2 p_e - ap_e
-
-    const double p_ap = even.dot_re(p, ap);
-    if (p_ap == 0.0) break;
-    const double alpha = rsq / p_ap;
-    even.axpy(alpha, p, x);
-    even.axpy(-alpha, ap, r);
-    const double rsq_new = even.norm2(r);
-    result.iterations = it + 1;
-    if (params.fixed_iterations == 0 && rsq_new < target) {
-      result.converged = true;
-      rsq = rsq_new;
-      break;
-    }
-    const double beta = rsq_new / rsq;
-    rsq = rsq_new;
-    even.xpay(r, beta, p);
-  }
-
-  // Reconstruct the odd half: x_o = (b_o - (D x)_o) / m.
-  op.dslash_parity(tmp, x, /*parity=*/1);  // tmp_o = (D x)_o
-  for (int rk = 0; rk < x.ranks(); ++rk) {
-    for (int s = 0; s < geom.local().volume(); ++s) {
-      if (geom.parity(rk, s) != 1) continue;
-      const double* pb = b.site(rk, s);
-      const double* pt = tmp.site(rk, s);
-      double* px = x.site(rk, s);
-      for (int k = 0; k < x.site_doubles(); ++k) {
-        px[k] = (pb[k] - pt[k]) / m;
-      }
-    }
-  }
-  odd.axpy(0.0, b, x);  // account the reconstruction pass's stream cost
-
-  // Full-system residual: |b - M x| / |b|.
-  DistField mx = op.make_field("eo.mx");
-  op.apply(mx, x);
-  ops.axpy(-1.0, b, mx);
-  const double full_r = ops.norm2(mx);
-  const double full_b = ops.norm2(b);
-  result.relative_residual = full_b > 0 ? std::sqrt(full_r / full_b) : 0.0;
-  if (params.fixed_iterations > 0) {
-    result.converged = result.relative_residual <= params.tolerance;
-  }
-
-  result.cycles = bsp.now() - start_cycle;
-  result.flops = ops.flops() - start_flops;
-  result.compute_cycles = bsp.compute_cycles() - start_compute;
-  result.comm_cycles = bsp.comm_cycles() - start_comm;
-  result.global_cycles = bsp.global_cycles() - start_global;
-  result.traffic = ops.traffic() - start_traffic;
+  double rsq = 0;
+  CgIteration cg{even, AsqtadSchurOp{op, even, tmp, m * m}, x, r, p, ap, rsq};
+  CgResult result = even_cg(cg, params);
+  // x_o = (b_o - (D x)_o) / m.
+  reconstruct_odd(
+      op, x, b, tmp, [m](double bk, double tk) { return (bk - tk) / m; },
+      "eo.mx", params, result);
+  meter.finish(result);
   QCDOC_INFO << "eo-cg[asqtad]: " << result.iterations
              << " iterations, |r|/|b| = " << result.relative_residual;
   return result;
@@ -250,113 +272,38 @@ CgResult asqtad_eo_solve(AsqtadDirac& op, DistField& x, DistField& b,
 CgResult wilson_eo_solve(WilsonDirac& op, DistField& x, DistField& b,
                          const CgParams& params) {
   FieldOps& ops = op.ops();
-  auto& bsp = ops.bsp();
-  const auto& geom = op.geometry();
+  const SolveMeter meter(ops);
   const double kappa = op.params().kappa;
-  const double k2 = kappa * kappa;
-
-  const Cycle start_cycle = bsp.now();
-  const double start_flops = ops.flops();
-  const double start_compute = bsp.compute_cycles();
-  const double start_comm = bsp.comm_cycles();
-  const double start_global = bsp.global_cycles();
-  const TrafficByPrecision start_traffic = ops.traffic();
-
-  ParityOps even(&ops, &geom, 0);
+  ParityOps even(&ops, &op.geometry(), /*parity=*/0);
 
   DistField tmp = op.make_field("weo.tmp");
   DistField t2 = op.make_field("weo.t2");
   DistField r = op.make_field("weo.r");
   DistField p = op.make_field("weo.p");
   DistField ap = op.make_field("weo.ap");
-
-  // Mhat v (v pure-even): out_e = v_e - kappa^2 (D (D v)_odd)_e.
-  const auto apply_mhat = [&](DistField& out, DistField& v) {
-    op.dslash_parity(tmp, v, /*parity=*/1);   // tmp_o = (D v)_o
-    op.dslash_parity(out, tmp, /*parity=*/0); // out_e = (D tmp)_e
-    even.lincomb(1.0, v, -k2, out);           // out_e = v_e - k^2 out_e
-  };
-  // Mhat^+ = g5 Mhat g5 on the even sublattice.
-  const auto apply_mhat_dag = [&](DistField& out, DistField& v) {
-    even.gamma5(v);
-    apply_mhat(out, v);
-    even.gamma5(v);
-    even.gamma5(out);
-  };
+  DistField mp = op.make_field("weo.mp");
+  const WilsonSchurOp a{op, even, tmp, mp, kappa * kappa};
 
   // rhs_e = b_e + kappa (D b)_e, built into t2 (pure even).
   tmp.zero();
   t2.zero();
   op.dslash_parity(t2, b, /*parity=*/0);  // t2_e = (D b)_e
   even.lincomb(1.0, b, kappa, t2);        // t2_e = b_e + kappa t2_e
-
   // Normal equations on the even sublattice: r = Mhat^+ rhs (x = 0).
   r.zero();
-  apply_mhat_dag(r, t2);
+  a.mhat_dag(r, t2);
   p.zero();
   even.copy(r, p);
 
-  double rsq = even.norm2(r);
-  const double rhs_norm2 = rsq > 0 ? rsq : 1.0;
-  const double target = params.tolerance * params.tolerance * rhs_norm2;
-
-  CgResult result;
-  const int iters = params.fixed_iterations > 0 ? params.fixed_iterations
-                                                : params.max_iterations;
-  DistField mp = op.make_field("weo.mp");
-  for (int it = 0; it < iters; ++it) {
-    apply_mhat(mp, p);
-    apply_mhat_dag(ap, mp);
-    const double p_ap = even.dot_re(p, ap);
-    if (p_ap == 0.0) break;
-    const double alpha = rsq / p_ap;
-    even.axpy(alpha, p, x);
-    even.axpy(-alpha, ap, r);
-    const double rsq_new = even.norm2(r);
-    result.iterations = it + 1;
-    if (params.fixed_iterations == 0 && rsq_new < target) {
-      result.converged = true;
-      rsq = rsq_new;
-      break;
-    }
-    const double beta = rsq_new / rsq;
-    rsq = rsq_new;
-    even.xpay(r, beta, p);
-  }
-
-  // Odd reconstruction: x_o = b_o + kappa (D x)_o.
-  op.dslash_parity(tmp, x, /*parity=*/1);
-  for (int rk = 0; rk < x.ranks(); ++rk) {
-    for (int s = 0; s < geom.local().volume(); ++s) {
-      if (geom.parity(rk, s) != 1) continue;
-      const double* pb = b.site(rk, s);
-      const double* pt = tmp.site(rk, s);
-      double* px = x.site(rk, s);
-      for (int k = 0; k < x.site_doubles(); ++k) {
-        px[k] = pb[k] + kappa * pt[k];
-      }
-    }
-  }
-  ParityOps odd(&ops, &geom, 1);
-  odd.axpy(0.0, b, x);  // account the reconstruction stream pass
-
-  // Full-system residual.
-  DistField mx = op.make_field("weo.mx");
-  op.apply(mx, x);
-  ops.axpy(-1.0, b, mx);
-  const double full_r = ops.norm2(mx);
-  const double full_b = ops.norm2(b);
-  result.relative_residual = full_b > 0 ? std::sqrt(full_r / full_b) : 0.0;
-  if (params.fixed_iterations > 0) {
-    result.converged = result.relative_residual <= params.tolerance;
-  }
-
-  result.cycles = bsp.now() - start_cycle;
-  result.flops = ops.flops() - start_flops;
-  result.compute_cycles = bsp.compute_cycles() - start_compute;
-  result.comm_cycles = bsp.comm_cycles() - start_comm;
-  result.global_cycles = bsp.global_cycles() - start_global;
-  result.traffic = ops.traffic() - start_traffic;
+  double rsq = 0;
+  CgIteration cg{even, a, x, r, p, ap, rsq};
+  CgResult result = even_cg(cg, params);
+  // x_o = b_o + kappa (D x)_o.
+  reconstruct_odd(
+      op, x, b, tmp,
+      [kappa](double bk, double tk) { return bk + kappa * tk; }, "weo.mx",
+      params, result);
+  meter.finish(result);
   QCDOC_INFO << "eo-cg[wilson]: " << result.iterations
              << " iterations, |r|/|b| = " << result.relative_residual;
   return result;

@@ -22,23 +22,9 @@ struct MixedCgParams {
   int max_outer = 100;      ///< reliable-update cycles
   int max_inner = 100;      ///< sloppy iterations per cycle
   /// Inner cycle ends once the sloppy residual has dropped by this factor
-  /// (|r_inner|^2 < delta^2 |r_cycle_start|^2).
+  /// (|r_inner|^2 <= delta^2 |r_cycle_start|^2).
   double delta = 0.1;
   Precision sloppy = Precision::kSingle;
-};
-
-/// Solver scalars at a clean outer-cycle checkpoint (the mixed solver's
-/// quiescent points).  With x, r and the stored right-hand side restored
-/// from a machine snapshot, these resume the exact trajectory.
-struct MixedCgCheckpoint {
-  int outer = 0;       ///< completed reliable-update cycles
-  int iterations = 0;  ///< total sloppy inner iterations
-  double rsq = 0;      ///< double-precision |r|^2 at the checkpoint
-  double rhs_norm2 = 0;
-  int restarts = 0;
-  u64 audits = 0;
-  u64 audit_failures = 0;
-  u64 mem_checks = 0;
 };
 
 /// Working fields in canonical allocation order (simulated memory is never
@@ -49,18 +35,6 @@ struct MixedCgWorkspace {
   DistField e, rs, ps, aps, tmps;    // sloppy inner solve
   DistField xck;                     // last known-clean solution copy
   static MixedCgWorkspace make(DiracOperator& op, Precision sloppy);
-};
-
-/// Fault auditing + crash-consistency hooks, mirroring CgAuditParams but
-/// with outer cycles as the audit/checkpoint grain.
-struct MixedCgAuditParams {
-  std::function<bool()> clean;
-  std::function<bool()> mem_clean;
-  int interval = 2;  ///< outer cycles between audits
-  int max_restarts = 8;
-  std::function<void(const MixedCgCheckpoint&)> on_checkpoint;
-  MixedCgWorkspace* workspace = nullptr;
-  const MixedCgCheckpoint* resume = nullptr;
 };
 
 /// Solve M^+M x = M^+b to double-precision tolerance, iterating at
@@ -74,11 +48,13 @@ CgResult mixed_cg_solve(DiracOperator& op, DiracOperator& sloppy_op,
                         DistField& x, DistField& b,
                         const MixedCgParams& params);
 
-/// Audited / crash-consistent variant (see MixedCgAuditParams).
-CgResult mixed_cg_solve_audited(DiracOperator& op, DiracOperator& sloppy_op,
-                                DistField& x, DistField& b,
-                                const MixedCgParams& params,
-                                const MixedCgAuditParams& audit);
+/// Audited / crash-consistent variant under cg_solve_audited's policy,
+/// with outer cycles as the audit/checkpoint grain: checkpoints carry the
+/// completed cycles in CgCheckpoint::reliable_updates.
+CgResult mixed_cg_solve_audited(
+    DiracOperator& op, DiracOperator& sloppy_op, DistField& x, DistField& b,
+    const MixedCgParams& params,
+    const ResumableAuditParams<MixedCgWorkspace>& audit);
 
 /// Reliable-update mixed-precision BiCGstab on M x = b: sloppy BiCGstab
 /// inner cycles (tolerance `delta` each) with double residual replacement.

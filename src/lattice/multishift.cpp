@@ -1,10 +1,10 @@
 #include "lattice/multishift.h"
 
 #include <cassert>
-#include <cmath>
 #include <optional>
 
 #include "common/log.h"
+#include "lattice/krylov.h"
 
 namespace qcdoc::lattice {
 
@@ -25,18 +25,11 @@ struct ShiftScalars {
 
 MultishiftResult ms_run(DiracOperator& op, std::vector<DistField>& x,
                         DistField& b, const MultishiftParams& params,
-                        const MultishiftAuditParams* audit) {
+                        const AuditParams* audit) {
   const std::size_t ns = params.shifts.size();
   assert(ns >= 1 && x.size() == ns);
   FieldOps& ops = op.ops();
-  auto& bsp = ops.bsp();
-
-  const Cycle start_cycle = bsp.now();
-  const double start_flops = ops.flops();
-  const double start_compute = bsp.compute_cycles();
-  const double start_comm = bsp.comm_cycles();
-  const double start_global = bsp.global_cycles();
-  const TrafficByPrecision start_traffic = ops.traffic();
+  const SolveMeter meter(ops);
 
   const double sigma0 = params.shifts[0];
 
@@ -75,20 +68,6 @@ MultishiftResult ms_run(DiracOperator& op, std::vector<DistField>& x,
   sc.frozen.assign(ns, 0);
   ShiftScalars sck;  // scalar state at the shadow checkpoint
 
-  MultishiftResult result;
-  const auto interval_clean = [&]() -> bool {
-    ++result.audits;
-    bool ok = true;
-    if (audit->clean && !audit->clean()) {
-      ++result.audit_failures;
-      ok = false;
-    }
-    if (audit->mem_clean && !audit->mem_clean()) {
-      ++result.mem_checks;
-      ok = false;
-    }
-    return ok;
-  };
   const auto save_shadow = [&] {
     auto& sh = *shadow;
     std::size_t k = 0;
@@ -122,129 +101,92 @@ MultishiftResult ms_run(DiracOperator& op, std::vector<DistField>& x,
     std::fill(sc.res2.begin(), sc.res2.end(), sc.rsq);
     std::fill(sc.frozen.begin(), sc.frozen.end(), 0);
   };
+  CgCheckpoint st;  // iteration and audit counters
+  std::optional<AuditPolicy> policy;
+  if (audit) policy.emplace(*audit, st, save_shadow, restore_shadow);
   init_residual();
-  if (audit) {
-    // Baseline audit: the initial residual itself crosses the mesh.
-    while (!interval_clean() && result.restarts < audit->max_restarts) {
-      ++result.restarts;
-      init_residual();
-    }
+  if (policy) {
+    policy->baseline(init_residual);
     save_shadow();
   }
   const double rhs_norm2 = sc.rsq;
-  const double target =
-      params.tolerance * params.tolerance * (rhs_norm2 > 0 ? rhs_norm2 : 1.0);
+  const double target = cg_target(params.tolerance, rhs_norm2);
 
+  MultishiftResult result;
   const int iters = params.max_iterations;
-  const int max_trips =
-      audit ? iters * (audit->max_restarts + 1) + audit->max_restarts : iters;
-  int since_audit = 0;
-  bool gave_up = false;
+  const int max_trips = policy ? policy->max_trips(iters) : iters;
   std::vector<double> zeta_next(ns, 1.0);
-  for (int trip = 0; trip < max_trips && result.iterations < iters; ++trip) {
-    // ap = (M^+ M + sigma_0) p.  With sigma_0 == 0 the operator and vector
-    // sequence below is exactly cg_solve's, so x[0] bit-matches plain CG.
-    op.apply(tmp, p);
-    op.apply_dag(ap, tmp);
-    if (sigma0 != 0.0) ops.axpy(sigma0, p, ap);
+  // The base system runs cg_solve's iteration on M^+ M + sigma_0; with
+  // sigma_0 == 0 its operator and vector sequence is exactly cg_solve's,
+  // so x[0] bit-matches plain CG.
+  CgIteration cg{ops, NormalOp{op, tmp, sigma0}, x[0], r, p, ap, sc.rsq};
+  for (int trip = 0; trip < max_trips && st.iterations < iters; ++trip) {
+    double alpha = 0;
+    double rsq_new = 0;
+    const bool stepped = cg.descend(&rsq_new, [&](double a) {
+      alpha = a;
+      // zeta_{k+1} per shift (scalar recurrence; shifts relative to
+      // sigma_0), then x_i += alpha_i p_i.
+      for (std::size_t i = 1; i < ns; ++i) {
+        if (sc.frozen[i]) continue;
+        const double s = params.shifts[i] - sigma0;
+        const double num = sc.zeta[i] * sc.zeta_prev[i] * sc.alpha_prev;
+        const double den =
+            alpha * sc.beta_prev * (sc.zeta_prev[i] - sc.zeta[i]) +
+            sc.zeta_prev[i] * sc.alpha_prev * (1.0 + s * alpha);
+        zeta_next[i] = den != 0.0 ? num / den : 0.0;
+      }
+      for (std::size_t i = 1; i < ns; ++i) {
+        if (sc.frozen[i]) continue;
+        const double alpha_s = alpha * zeta_next[i] / sc.zeta[i];
+        ops.axpy(alpha_s, ps[i - 1], x[i]);
+      }
+    });
+    if (!stepped) break;
 
-    const double p_ap = ops.dot_re(p, ap);
-    if (p_ap == 0.0) break;
-    const double alpha = sc.rsq / p_ap;
-
-    // zeta_{k+1} per shift (scalar recurrence; shifts relative to sigma_0).
-    for (std::size_t i = 1; i < ns; ++i) {
-      if (sc.frozen[i]) continue;
-      const double s = params.shifts[i] - sigma0;
-      const double num = sc.zeta[i] * sc.zeta_prev[i] * sc.alpha_prev;
-      const double den =
-          alpha * sc.beta_prev * (sc.zeta_prev[i] - sc.zeta[i]) +
-          sc.zeta_prev[i] * sc.alpha_prev * (1.0 + s * alpha);
-      zeta_next[i] = den != 0.0 ? num / den : 0.0;
-    }
-
-    ops.axpy(alpha, p, x[0]);
-    for (std::size_t i = 1; i < ns; ++i) {
-      if (sc.frozen[i]) continue;
-      const double alpha_s = alpha * zeta_next[i] / sc.zeta[i];
-      ops.axpy(alpha_s, ps[i - 1], x[i]);
-    }
-    ops.axpy(-alpha, ap, r);
-    const double rsq_new = ops.norm2(r);
-    const double beta = rsq_new / sc.rsq;
-
-    // Direction updates: base first (plain CG order), then each live shift
-    // p_i = zeta_{k+1} r + beta_i p_i, freezing shifts whose implied
-    // residual zeta^2 |r|^2 has crossed the target.
-    sc.res2[0] = rsq_new;
-    for (std::size_t i = 1; i < ns; ++i) {
-      if (sc.frozen[i]) continue;
-      const double ratio = zeta_next[i] / sc.zeta[i];
-      const double beta_s = beta * ratio * ratio;
-      ops.axpby(zeta_next[i], r, beta_s, ps[i - 1]);
-      sc.res2[i] = zeta_next[i] * zeta_next[i] * rsq_new;
-      sc.zeta_prev[i] = sc.zeta[i];
-      sc.zeta[i] = zeta_next[i];
-      if (sc.res2[i] < target) sc.frozen[i] = 1;
-    }
-    sc.alpha_prev = alpha;
-    sc.beta_prev = beta;
-    sc.rsq = rsq_new;
-    ops.xpay(r, beta, p);
-    ++result.iterations;
-    ++since_audit;
+    // Direction updates: each live shift p_i = zeta_{k+1} r + beta_i p_i,
+    // freezing shifts whose implied residual zeta^2 |r|^2 has crossed the
+    // target, then the base p.
+    cg.turn(rsq_new, [&](double beta) {
+      sc.res2[0] = rsq_new;
+      for (std::size_t i = 1; i < ns; ++i) {
+        if (sc.frozen[i]) continue;
+        const double ratio = zeta_next[i] / sc.zeta[i];
+        const double beta_s = beta * ratio * ratio;
+        ops.axpby(zeta_next[i], r, beta_s, ps[i - 1]);
+        sc.res2[i] = zeta_next[i] * zeta_next[i] * rsq_new;
+        sc.zeta_prev[i] = sc.zeta[i];
+        sc.zeta[i] = zeta_next[i];
+        if (sc.res2[i] < target) sc.frozen[i] = 1;
+      }
+      sc.alpha_prev = alpha;
+      sc.beta_prev = beta;
+    });
+    ++st.iterations;
 
     bool all_done = rsq_new < target;
     for (std::size_t i = 1; i < ns && all_done; ++i) {
       all_done = sc.frozen[i] != 0;
     }
-
-    if (audit && (all_done || since_audit >= audit->interval ||
-                  result.iterations == iters)) {
-      if (!interval_clean()) {
-        // Corruption in this interval: every iterate and every zeta since
-        // the shadow copy is suspect.  Restore the full working set (which
-        // also rewrites any poisoned words) and consume audits until one
-        // interval comes back clean.
-        bool recovered = false;
-        while (result.restarts < audit->max_restarts) {
-          ++result.restarts;
-          result.iterations -= since_audit;
-          restore_shadow();
-          since_audit = 0;
-          if (interval_clean()) {
-            recovered = true;
-            break;
-          }
-        }
-        if (!recovered) {
-          gave_up = true;
-          break;
-        }
-        continue;
-      }
-      save_shadow();
-      since_audit = 0;
+    // Corruption in an interval makes every iterate and every zeta since
+    // the shadow copy suspect; the policy restores the full working set.
+    if (policy && policy->due(all_done, st.iterations == iters) &&
+        !policy->passes()) {
+      if (policy->gave_up()) break;
+      continue;
     }
     if (all_done) {
-      result.converged = !gave_up;
+      result.converged = true;
       break;
     }
   }
+  report_counters(st, result);
 
   result.relative_residuals.resize(ns);
   for (std::size_t i = 0; i < ns; ++i) {
-    result.relative_residuals[i] =
-        rhs_norm2 > 0 ? std::sqrt(sc.res2[i] / rhs_norm2)
-                      : std::sqrt(sc.res2[i]);
+    result.relative_residuals[i] = relative_norm(sc.res2[i], rhs_norm2);
   }
-
-  result.cycles = bsp.now() - start_cycle;
-  result.flops = ops.flops() - start_flops;
-  result.compute_cycles = bsp.compute_cycles() - start_compute;
-  result.comm_cycles = bsp.comm_cycles() - start_comm;
-  result.global_cycles = bsp.global_cycles() - start_global;
-  result.traffic = ops.traffic() - start_traffic;
+  meter.finish(result);
   QCDOC_INFO << "multishift[" << op.name() << "]: " << params.shifts.size()
              << " shifts, " << result.iterations << " iterations, |r0|/|b| = "
              << result.relative_residuals[0]
@@ -265,7 +207,7 @@ MultishiftResult multishift_solve_audited(DiracOperator& op,
                                           std::vector<DistField>& x,
                                           DistField& b,
                                           const MultishiftParams& params,
-                                          const MultishiftAuditParams& audit) {
+                                          const AuditParams& audit) {
   return ms_run(op, x, b, params, &audit);
 }
 

@@ -14,7 +14,6 @@
 // same right-hand side.
 #pragma once
 
-#include <functional>
 #include <vector>
 
 #include "lattice/cg.h"
@@ -27,20 +26,6 @@ struct MultishiftParams {
   std::vector<double> shifts;
   double tolerance = 1e-8;  ///< on |r_i| / |rhs| for every shift
   int max_iterations = 500;
-};
-
-/// Fault auditing for the multi-shift solver.  Unlike cg_solve_audited --
-/// which re-derives loop state from x -- the shifted recurrence carries
-/// per-shift scalar state that cannot be recomputed from the iterates, so
-/// a clean checkpoint shadow-copies the full working set (base vectors,
-/// every shifted direction and solution) and a dirty audit restores it
-/// exactly.  Rollback cost scales with the shift count; there is no
-/// cross-process resume (use mixed_cg for the checkpoint/restart path).
-struct MultishiftAuditParams {
-  std::function<bool()> clean;      ///< link checksums since last poll
-  std::function<bool()> mem_clean;  ///< ECC machine checks since last poll
-  int interval = 10;
-  int max_restarts = 8;
 };
 
 struct MultishiftResult {
@@ -69,13 +54,18 @@ struct MultishiftResult {
 MultishiftResult multishift_solve(DiracOperator& op, std::vector<DistField>& x,
                                   DistField& b, const MultishiftParams& params);
 
-/// Fault-tolerant variant: audits link/memory detectors every
-/// `audit.interval` iterations and rolls the full working set back to the
-/// last clean shadow copy on a mismatch.
+/// Fault-tolerant variant under the same audit policy as cg_solve_audited.
+/// Unlike CG -- which re-derives loop state from x -- the shifted
+/// recurrence carries per-shift scalar state that cannot be recomputed
+/// from the iterates, so a clean checkpoint shadow-copies the full working
+/// set (base vectors, every shifted direction and solution) and a dirty
+/// audit restores it exactly.  Rollback cost scales with the shift count;
+/// there is no cross-process resume (mixed_cg_solve_audited and
+/// cg_solve_audited have one), so no checkpoint hooks.
 MultishiftResult multishift_solve_audited(DiracOperator& op,
                                           std::vector<DistField>& x,
                                           DistField& b,
                                           const MultishiftParams& params,
-                                          const MultishiftAuditParams& audit);
+                                          const AuditParams& audit);
 
 }  // namespace qcdoc::lattice

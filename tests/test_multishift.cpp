@@ -180,7 +180,7 @@ TEST(Multishift, CleanAuditMatchesUnaudited) {
 
   MsSetup audited({2, 2, 1, 1, 1, 1}, {4, 4, 4, 4});
   auto xa = audited.solutions(params.shifts.size());
-  MultishiftAuditParams audit;
+  AuditParams audit;
   audit.clean = [] { return true; };
   audit.interval = 5;
   const MultishiftResult ra =
@@ -217,7 +217,7 @@ TEST(Multishift, DirtyAuditRollsBackAndStillConverges) {
   MsSetup audited({2, 2, 1, 1, 1, 1}, {4, 4, 4, 4});
   auto xa = audited.solutions(params.shifts.size());
   int audit_no = 0;
-  MultishiftAuditParams audit;
+  AuditParams audit;
   audit.clean = [&audit_no] { return ++audit_no != 3; };
   audit.interval = 5;
   const MultishiftResult ra =
