@@ -4,10 +4,13 @@
 // execution-order contract).
 #include <gtest/gtest.h>
 
+#include <array>
 #include <memory>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
+#include "common/rng.h"
 #include "machine/machine.h"
 #include "sim/engine.h"
 #include "sim/parallel_engine.h"
@@ -310,6 +313,233 @@ TEST(ParallelEngine, MachineBootIsBitIdenticalAcrossThreadCounts) {
     EXPECT_EQ(got.digest, ref.digest) << threads << " threads";
     EXPECT_EQ(got.events, ref.events) << threads << " threads";
     EXPECT_EQ(got.end, ref.end) << threads << " threads";
+  }
+}
+
+// --- Step-order oracle ------------------------------------------------------
+//
+// A seeded random workload on 8 nodes plus the host, run on the engine under
+// test and on the single-heap oracle in lockstep through a seeded mix of
+// step(), run_until(), drain() and run_until_idle() calls.  Delays reach
+// past the 64-cycle calendar wheel, the host schedules equal-time bursts
+// onto several nodes, and node-to-host schedules run at delay 0 where the
+// window rule allows it (1 thread), so step()'s (time, rank) choice, the
+// single-shard host hand-off and drain's stop are compared event by event.
+// The order digest alone could not do this: it is folded per destination
+// rank, so it cannot see two ranks swapped at one timestamp.
+
+constexpr u32 kOracleNodes = 8;
+constexpr Cycle kMaxDelay = 150;
+
+template <typename E>
+class RandomWorkload {
+ public:
+  /// `host_delay_min`: the shortest node-to-host delay.  0 is legal only on
+  /// one thread; inside a parallel window such a schedule must clear the
+  /// window end, i.e. wait at least the lookahead.
+  RandomWorkload(E* e, u64 seed, Cycle host_delay_min)
+      : e_(e), host_delay_min_(host_delay_min) {
+    for (u32 r = 0; r <= kOracleNodes; ++r) rngs_.emplace_back(seed, NodeId{r});
+    budget_.assign(kOracleNodes + 1, 0);
+  }
+
+  /// Refill every rank's spawn budget, start an equal-time burst on three
+  /// nodes at `d` and one host event at `host_d`.  Driver side: no event is
+  /// running.
+  void seed(const std::array<u32, 3>& ranks, Cycle d, Cycle host_d) {
+    budget_.assign(kOracleNodes + 1, 40);
+    for (const u32 rank : ranks) {
+      e_->schedule_on(rank - 1, d, [this, rank] { fire(rank); });
+    }
+    e_->schedule_on(kHostAffinity, host_d, [this] { fire(0); });
+  }
+
+  /// One unit of drainable work on `rank` at delay `d`: `c` counts it until
+  /// the node has reported completion to the host.
+  void start_job(u32 rank, Cycle d, ActiveCounter* c) {
+    c->increment();
+    e_->schedule_on(rank - 1, d, [this, rank, c] {
+      note(rank);
+      e_->schedule_on(kHostAffinity, host_delay(rngs_[rank]), [this, c] {
+        note(0);
+        c->decrement(e_->now());
+      });
+    });
+  }
+
+  /// Log executed (time, dest rank) pairs while `on`.
+  void record(bool on) { recording_ = on; }
+  std::vector<std::pair<Cycle, u32>> take_log() {
+    return std::exchange(log_, {});
+  }
+
+ private:
+  void note(u32 rank) {
+    if (recording_) log_.emplace_back(e_->now(), rank);
+  }
+
+  Cycle host_delay(Rng& rng) const {
+    return host_delay_min_ +
+           (rng.next_below(2) == 0 ? 0 : rng.next_below(kMaxDelay / 2));
+  }
+
+  void fire(u32 rank) {
+    note(rank);
+    if (budget_[rank] == 0) return;
+    --budget_[rank];
+    Rng& rng = rngs_[rank];
+    if (rank == 0) {
+      // Host: an equal-time burst onto several nodes, any delay.
+      const Cycle d = rng.next_below(kMaxDelay + 1);
+      const u64 k = 1 + rng.next_below(4);
+      for (u64 i = 0; i < k; ++i) {
+        const u32 r = 1 + static_cast<u32>(rng.next_below(kOracleNodes));
+        e_->schedule_on(r - 1, d, [this, r] { fire(r); });
+      }
+      return;
+    }
+    if (rng.next_below(5) != 0) {
+      const Cycle d = rng.next_below(6) == 0 ? 0 : rng.next_below(kMaxDelay + 1);
+      e_->schedule(d, [this, rank] { fire(rank); });
+    }
+    if (rng.next_below(2) == 0) {
+      const u32 other = 1 + static_cast<u32>(
+                                (rank + rng.next_below(kOracleNodes - 1)) %
+                                kOracleNodes);
+      e_->schedule_on(other - 1,
+                      kLookahead + rng.next_below(kMaxDelay - kLookahead + 1),
+                      [this, other] { fire(other); });
+    }
+    if (rng.next_below(4) == 0) {
+      e_->schedule_on(kHostAffinity, host_delay(rng), [this] { fire(0); });
+    }
+  }
+
+  E* e_;
+  Cycle host_delay_min_;
+  std::vector<Rng> rngs_;     ///< per rank; only that rank's events draw
+  std::vector<u32> budget_;   ///< per rank, likewise
+  bool recording_ = false;    ///< flipped by the driver between calls
+  std::vector<std::pair<Cycle, u32>> log_;
+};
+
+template <typename A, typename B>
+::testing::AssertionResult same_state(const A& a, const B& b) {
+  if (a.now() != b.now()) {
+    return ::testing::AssertionFailure()
+           << "now " << a.now() << " vs " << b.now();
+  }
+  if (a.events_executed() != b.events_executed()) {
+    return ::testing::AssertionFailure()
+           << "events " << a.events_executed() << " vs "
+           << b.events_executed();
+  }
+  if (a.trace_digest() != b.trace_digest()) {
+    return ::testing::AssertionFailure() << "trace digest differs";
+  }
+  if (a.pending_events() != b.pending_events()) {
+    return ::testing::AssertionFailure()
+           << "pending " << a.pending_events() << " vs "
+           << b.pending_events();
+  }
+  return ::testing::AssertionSuccess();
+}
+
+u32 draw_rank(Rng& drv) {
+  return 1 + static_cast<u32>(drv.next_below(kOracleNodes));
+}
+
+template <typename Oracle, typename Sub>
+void run_oracle_campaign(Oracle& ref, Sub& sub, int threads, u64 seed) {
+  const Cycle host_min = threads == 1 ? 0 : kLookahead;
+  RandomWorkload<Oracle> rw(&ref, seed, host_min);
+  RandomWorkload<Sub> sw(&sub, seed, host_min);
+  ActiveCounter rc;
+  ActiveCounter sc;
+  Rng drv(seed * 7919 + static_cast<u64>(threads));
+  auto reseed = [&] {
+    const std::array<u32, 3> ranks{draw_rank(drv), draw_rank(drv),
+                                   draw_rank(drv)};
+    const Cycle d = drv.next_below(kMaxDelay + 1);
+    const Cycle host_d = drv.next_below(kMaxDelay + 1);
+    rw.seed(ranks, d, host_d);
+    sw.seed(ranks, d, host_d);
+  };
+  // One thread runs every event on this thread, so there the whole
+  // execution sequence is compared, not only the stepped part.
+  const bool log_all = threads == 1;
+  rw.record(log_all);
+  sw.record(log_all);
+  u64 stepped = 0;
+  u64 drained = 0;
+  reseed();
+  for (int call = 0; call < 400; ++call) {
+    SCOPED_TRACE(::testing::Message() << threads << " threads, seed " << seed
+                                      << ", call " << call);
+    const u64 op = drv.next_below(20);
+    if (op < 8) {
+      const u64 n = 1 + drv.next_below(60);
+      rw.record(true);
+      sw.record(true);
+      for (u64 i = 0; i < n; ++i) {
+        const bool a = ref.step();
+        const bool b = sub.step();
+        ASSERT_EQ(a, b);
+        ASSERT_EQ(ref.now(), sub.now());
+        if (!a) break;
+        ++stepped;
+      }
+      rw.record(log_all);
+      sw.record(log_all);
+    } else if (op < 13) {
+      const Cycle t = ref.now() + drv.next_below(2 * kMaxDelay);
+      ref.run_until(t);
+      sub.run_until(t);
+    } else if (op < 17) {
+      const u64 jobs = 1 + drv.next_below(4);
+      for (u64 j = 0; j < jobs; ++j) {
+        const u32 rank = draw_rank(drv);
+        const Cycle d = drv.next_below(kMaxDelay + 1);
+        rw.start_job(rank, d, &rc);
+        sw.start_job(rank, d, &sc);
+      }
+      ASSERT_TRUE(ref.drain(rc));
+      ASSERT_TRUE(sub.drain(sc));
+      // A parallel window may legally run past the zeroing event, so only
+      // the clock is compared here; the run to now() + lookahead brings
+      // both sides to the same executed set again.
+      ASSERT_EQ(ref.now(), sub.now()) << "drain stopped the clock elsewhere";
+      ++drained;
+      const Cycle t = ref.now() + kLookahead;
+      ref.run_until(t);
+      sub.run_until(t);
+    } else if (op < 19) {
+      reseed();
+    } else {
+      ref.run_until_idle();
+      sub.run_until_idle();
+      ASSERT_TRUE(same_state(ref, sub));
+      reseed();
+    }
+    ASSERT_EQ(rw.take_log(), sw.take_log()) << "execution order diverged";
+    ASSERT_TRUE(same_state(ref, sub));
+  }
+  ref.run_until_idle();
+  sub.run_until_idle();
+  EXPECT_TRUE(same_state(ref, sub));
+  EXPECT_GT(stepped, 1000u);
+  EXPECT_GT(drained, 40u);
+}
+
+TEST(StepOrderOracle, RandomCallMixMatchesTheOracleAt1To4Threads) {
+  for (const int threads : {1, 2, 4}) {
+    for (const u64 seed : {1ull, 2ull, 3ull}) {
+      SerialEngine ref;
+      ParallelEngine sub(ParallelConfig{threads, kLookahead,
+                                        static_cast<int>(kOracleNodes)});
+      run_oracle_campaign(ref, sub, threads, seed);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
   }
 }
 
