@@ -21,7 +21,7 @@ namespace {
 /// Achieved payload bandwidth (fraction of the 64/72 wire limit) for a
 /// window size.
 double bandwidth_fraction(int window) {
-  sim::SerialEngine engine;
+  sim::Engine engine;
   sim::StatSet stats;
   hssl::HsslConfig hc;
   hc.training_cycles = 16;

@@ -90,9 +90,9 @@ ScalePoint run(std::array<int, 6> shape) {
 // --- Simulator engine scaling ----------------------------------------------
 //
 // How fast can we *simulate* the machine?  The same boot + CG workload on a
-// 4^6 = 4096-node machine, run once on the serial engine and once on the
-// parallel engine, with the event-order digests compared: the parallel
-// engine must be bit-identical, and any wall-clock gain is pure profit.
+// 4^6 = 4096-node machine, run at 1, 2 and 4 engine threads, with the
+// event-order digests compared: every thread count must be bit-identical,
+// and any wall-clock gain is pure profit.
 
 struct EngineRun {
   int threads;
@@ -165,37 +165,34 @@ void engine_scaling_section() {
       shape[0], shape[1], shape[2], shape[3], shape[4], shape[5], cores,
       cores == 1 ? "" : "s");
 
-  const EngineRun serial = run_engine(shape, global, 1, 2);
-  std::printf("  serial:   %7.2fs wall, %llu events, digest %016llx\n",
-              serial.wall_seconds,
-              static_cast<unsigned long long>(serial.events),
-              static_cast<unsigned long long>(serial.digest));
-  const EngineRun par = run_engine(shape, global, 4, 2);
+  const EngineRun one = run_engine(shape, global, 1, 2);
+  std::printf("  1 thread: %7.2fs wall, %llu events, digest %016llx\n",
+              one.wall_seconds, static_cast<unsigned long long>(one.events),
+              static_cast<unsigned long long>(one.digest));
+  const EngineRun four = run_engine(shape, global, 4, 2);
   std::printf("  4 threads:%7.2fs wall, %llu events, digest %016llx\n",
-              par.wall_seconds, static_cast<unsigned long long>(par.events),
-              static_cast<unsigned long long>(par.digest));
+              four.wall_seconds, static_cast<unsigned long long>(four.events),
+              static_cast<unsigned long long>(four.digest));
   std::printf("  %s\n",
-              perf::format_engine_report(par.report, /*wall_clock=*/true)
+              perf::format_engine_report(four.report, /*wall_clock=*/true)
                   .c_str());
-  const EngineRun par2 = run_engine(shape, global, 2, 2);
+  const EngineRun two = run_engine(shape, global, 2, 2);
 
-  const bool identical = serial.digest == par.digest &&
-                         serial.events == par.events &&
-                         serial.end_cycle == par.end_cycle &&
-                         serial.digest == par2.digest &&
-                         serial.events == par2.events;
-  const double speedup = par.wall_seconds > 0
-                             ? serial.wall_seconds / par.wall_seconds
-                             : 0.0;
+  bool identical = true;
+  for (const EngineRun* r : {&two, &four}) {
+    identical = identical && r->digest == one.digest &&
+                r->events == one.events && r->end_cycle == one.end_cycle;
+  }
+  const double speedup =
+      four.wall_seconds > 0 ? one.wall_seconds / four.wall_seconds : 0.0;
   std::printf("  deterministic: %s   speedup: %.2fx\n",
               identical ? "yes (bit-identical digests at 1/2/4 threads)"
                         : "NO -- BUG",
               speedup);
 
   std::vector<bench::EngineBenchRun> runs;
-  for (const EngineRun* r : {&serial, &par2, &par}) {
+  for (const EngineRun* r : {&one, &two, &four}) {
     bench::EngineBenchRun br;
-    br.engine = r->threads == 1 ? "serial" : "parallel";
     br.threads = r->threads;
     br.events = r->events;
     br.wall_seconds = r->wall_seconds;
@@ -209,7 +206,7 @@ void engine_scaling_section() {
   if (!identical) std::exit(1);
   // Count-based zero-allocation gate: with the action pool warm, the
   // measured CG phase must not allocate a single heap block per event.
-  for (const EngineRun* r : {&serial, &par2, &par}) {
+  for (const EngineRun* r : {&one, &two, &four}) {
     if (r->heap_blocks_steady != 0) {
       std::printf(
           "  FAIL: %d-thread steady-state run allocated %llu heap blocks\n",

@@ -22,7 +22,7 @@
 #include "common/rng.h"
 #include "common/types.h"
 #include "sim/engine.h"
-#include "sim/small_fn.h"
+#include "sim/event_fn.h"
 #include "sim/stats.h"
 
 namespace qcdoc::hssl {

@@ -1,7 +1,6 @@
 #include "machine/machine.h"
 
 #include "scu/packet.h"
-#include "sim/parallel_engine.h"
 
 namespace qcdoc::machine {
 
@@ -20,21 +19,15 @@ Machine::Machine(const MachineConfig& cfg) : cfg_(cfg) {
   mesh_cfg.mem = cfg.mem;
   mesh_cfg.seed = cfg.seed;
 
-  const int threads =
-      cfg.sim_threads > 0 ? cfg.sim_threads : sim::threads_from_env();
-  if (threads <= 1) {
-    engine_ = std::make_unique<sim::SerialEngine>();
-  } else {
-    // Nothing crosses between nodes faster than the shortest frame's
-    // serialization plus the wire time-of-flight, so that is the
-    // conservative lookahead.
-    sim::ParallelConfig pcfg;
-    pcfg.threads = threads;
-    pcfg.lookahead = static_cast<Cycle>(scu::min_frame_bits()) +
-                     mesh_cfg.hssl.wire_delay_cycles;
-    pcfg.num_nodes = mesh_cfg.shape.volume();
-    engine_ = std::make_unique<sim::ParallelEngine>(pcfg);
-  }
+  // Nothing crosses between nodes faster than the shortest frame's
+  // serialization plus the wire time-of-flight, so that is the
+  // conservative lookahead.
+  engine_ = std::make_unique<sim::Engine>(sim::EngineConfig{
+      .threads =
+          cfg.sim_threads > 0 ? cfg.sim_threads : sim::threads_from_env(),
+      .lookahead = static_cast<Cycle>(scu::min_frame_bits()) +
+                   mesh_cfg.hssl.wire_delay_cycles,
+      .num_nodes = mesh_cfg.shape.volume()});
 
   mesh_ = std::make_unique<net::MeshNet>(engine_.get(), mesh_cfg);
   package_map_ = std::make_unique<PackageMap>(mesh_->topology());

@@ -26,9 +26,9 @@ struct MachineConfig {
   double bit_error_rate = 0.0; ///< injected serial-link error rate
   memsys::MemConfig mem;       ///< per-node EDRAM/DDR sizes
   u64 seed = 0x9c0dull;        ///< master seed for all stochastic elements
-  /// Simulation worker threads: 1 = serial engine, >1 = parallel engine,
-  /// 0 = read QCDOC_SIM_THREADS (default 1).  Bit-identical results either
-  /// way; this only changes wall-clock time.
+  /// Simulation threads, the coordinating caller included; 0 = read
+  /// QCDOC_SIM_THREADS (default 1).  Results are bit-identical at every
+  /// count; this only changes wall-clock time.
   int sim_threads = 0;
 
   MachineConfig() { shape.extent = {2, 2, 2, 2, 2, 2}; }

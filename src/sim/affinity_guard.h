@@ -28,7 +28,7 @@
 // Host driver code that mutates node state between engine runs -- boot
 // pokes, health sweeps, test setup -- executes outside any event and passes
 // unconditionally: AFFSAN audits the *event* ownership discipline that the
-// parallel engine's determinism depends on, not single-threaded setup.
+// engine's parallel windows depend on, not single-threaded setup.
 #pragma once
 
 #include <cstddef>

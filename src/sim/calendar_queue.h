@@ -1,6 +1,6 @@
 // Bucketed calendar queue (timing wheel) for per-rank event storage.
 //
-// The parallel engine's lookahead is ~18 cycles, so nearly every pending
+// The engine's lookahead is ~18 cycles, so nearly every pending
 // event on a rank lands within a few tens of cycles of the queue's current
 // minimum.  A binary heap pays O(log n) comparisons *and* O(log n) moves of
 // a 70-byte event per push and pop; the calendar queue instead keeps a ring

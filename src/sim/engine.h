@@ -2,17 +2,12 @@
 //
 // All timed behaviour in the machine model (serial-link bit timing, DMA
 // engines, memory controllers, the 40 MHz global clock) is expressed as
-// events on one engine.  Two interchangeable implementations exist behind
-// the abstract `Engine` interface:
-//
-//   - SerialEngine: a single priority queue, the reference semantics.
-//   - ParallelEngine (parallel_engine.h): a conservative parallel executor
-//     that shards event queues per node and synchronizes in lookahead-sized
-//     time windows.
+// events on one engine, a conservative executor over per-node calendar
+// queues (calendar_queue.h) that runs at any thread count, 1 included.
 //
 // Determinism is a correctness requirement, mirroring the paper's demand
 // that repeated runs of a physics evolution be identical in all bits
-// (Section 4).  Both engines therefore execute events in one well-defined
+// (Section 4).  The engine therefore executes events in one well-defined
 // total order, keyed by
 //
 //     (time, destination rank, source rank, per-source sequence number)
@@ -20,32 +15,72 @@
 // where the "rank" of an event is the node it acts on (the host controller
 // is rank 0 and fires first at equal timestamps; node i is rank i+1).  The
 // source rank is the rank that scheduled the event, and the sequence number
-// counts schedules per source.  This key is computable identically by both
-// engines -- unlike a global schedule counter, it does not depend on the
-// interleaving of independent nodes -- and it reduces to plain scheduling
-// order for events scheduled from one context at one timestamp.
+// counts schedules per source.  Unlike a global schedule counter, this key
+// does not depend on the interleaving of independent nodes, so every thread
+// count computes it identically -- and it reduces to plain scheduling order
+// for events scheduled from one context at one timestamp.
 //
-// Every engine additionally maintains an order digest (FNV-1a over the key
-// tuples, folded per destination rank) so tests can assert that two runs --
-// or the two engine implementations -- executed the exact same events at the
-// exact same times.
+// Ranks are sharded across threads, each shard a contiguous block of rank
+// queues plus a lazy min-heap of their (time, rank) heads; stale heap
+// entries are dropped when they fail to match the live queue head.
+// Execution proceeds in adaptive slices chosen from the pending-event
+// picture at the global minimum time T:
+//
+//   - Host slice: the earliest pending event is a host event (rank 0).
+//     The coordinator runs every host event at T inline, in exact key
+//     order, with all node queues untouched -- host events never demote
+//     node execution to serial windows; they only bound them.
+//   - Parallel window: two or more shards have events in [T, end), where
+//     end = min(T + lookahead, next host event).  Workers drain their own
+//     shards' events concurrently with no synchronization, legal because
+//     the model guarantees no cross-node effect sooner than L cycles (the
+//     HSSL physics: a frame delivery costs a full serialization of at least
+//     the 16-bit minimum frame plus the wire time of flight, so
+//     L = min_frame_bits + wire_delay_cycles).  Cross-node schedules made
+//     inside a window are buffered in per-worker outboxes and merged at the
+//     barrier; every queue orders by the key, so the merge order is
+//     irrelevant.
+//   - Single-shard fast-forward: only one shard is occupied (an idle
+//     machine with a lone scrubber, a single hot node, one thread).  The
+//     coordinator runs that shard with no barrier at all, as far as
+//     min(next host event, earliest foreign-shard event) -- which coalesces
+//     what would otherwise be thousands of 18-cycle windows.
+//
+// step() runs exactly the globally next event: the earliest (time, rank)
+// front across the shard heaps, whose calendar queue breaks the (src, seq)
+// tie.  The single-heap executor in tests/reference_engine.h is the oracle
+// the engine tests compare this order against.
+//
+// The cross-node lookahead contract is enforced uniformly: a node event
+// scheduling onto another node closer than L cycles throws, on every
+// execution path, so model bugs cannot hide in serially-executed phases.
+// Node-to-host schedules are exempt (the host queue serializes them
+// exactly) except inside a parallel window, where they must clear the
+// window end like any other cross-rank schedule.
+//
+// The engine also maintains an order digest (FNV-1a over the key tuples,
+// folded per destination rank) so tests can assert that two runs -- at any
+// thread counts -- executed the exact same events at the exact same times.
 #pragma once
 
 #include <array>
 #include <atomic>
 #include <cstddef>
-#include <queue>
+#include <exception>
 #include <stdexcept>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/types.h"
+#include "sim/calendar_queue.h"
 #include "sim/event_fn.h"
 
 namespace qcdoc::sim {
 
-/// Which node's state an event acts on.  Used by the parallel engine to
-/// shard work; ignored (beyond tie-breaking) by the serial engine.
+/// Which node's state an event acts on: picks the rank queue (and so the
+/// shard) an event lands in, and its place in the total order.
 using Affinity = u32;
 
 /// Affinity of host-controller events (boot, Ethernet, fault injection,
@@ -137,7 +172,6 @@ class ActiveCounter {
 
 /// Execution statistics, for perf reports and the scaling bench.
 struct EngineReport {
-  std::string kind;      ///< "serial" or "parallel"
   int threads = 1;
   Cycle lookahead = 0;
   u64 events = 0;
@@ -146,7 +180,9 @@ struct EngineReport {
   u64 windows_host = 0;              ///< host-event slices at window seams
   u64 cross_shard_events = 0;        ///< events exchanged at window barriers
   u64 parallel_window_events = 0;    ///< events executed inside parallel windows
-  u64 peak_pending_events = 0;       ///< high-water pending count (barrier-sampled)
+  u64 peak_pending_events = 0;       ///< high-water pending count (sampled
+                                     ///< after every slice, step and
+                                     ///< single-shard rank batch)
   double barrier_stall_seconds = 0;  ///< coordinator wall time at barriers
   /// Wall time the coordinator waited per barrier, bucketed by log2
   /// microseconds: [0] no wait, [1] <2us, [2] <4us ... [15] >=16ms.
@@ -180,8 +216,14 @@ struct EngineClockState {
   std::vector<EngineStreamState> streams;
 };
 
-/// Abstract engine interface.  See the file comment for the execution-order
-/// contract shared by all implementations.
+struct EngineConfig {
+  int threads = 1;     ///< total, including the coordinating caller
+  Cycle lookahead = 1; ///< window length; no cross-node effect sooner
+  int num_nodes = 0;   ///< valid node affinities are [0, num_nodes)
+};
+
+/// The simulation engine.  See the file comment for the execution-order
+/// contract; the thread count changes wall-clock time, never a result.
 class Engine {
  public:
   /// Event actions are pooled small-buffer callables, not std::function --
@@ -189,10 +231,10 @@ class Engine {
   /// would cost one heap allocation per scheduled event (see event_fn.h).
   using Action = EventFn;
 
-  Engine() = default;
+  explicit Engine(EngineConfig cfg = {});
+  ~Engine();
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
-  virtual ~Engine() = default;
 
   /// Current simulated time in CPU cycles (valid from any thread running an
   /// event of this engine; elsewhere it is the engine's global clock).
@@ -220,13 +262,13 @@ class Engine {
 
   /// Schedule `fn` at absolute time `t` (>= now(), else throws
   /// std::invalid_argument) acting on node `dest`.
-  virtual void schedule_at_on(Affinity dest, Cycle t, Action fn) = 0;
+  void schedule_at_on(Affinity dest, Cycle t, Action fn);
 
   /// Run the globally earliest pending event.  Returns false when no events
   /// remain.  Always executes exactly one event in total-key order, on the
-  /// calling thread -- so predicate-bounded loops behave identically on
-  /// every engine.
-  virtual bool step() = 0;
+  /// calling thread -- so predicate-bounded loops behave identically at
+  /// every thread count.
+  bool step();
 
   /// Step while `pred()` holds.  Returns false when the queue empties with
   /// the predicate still true (a stall).
@@ -239,51 +281,141 @@ class Engine {
   }
 
   /// Run events until the queue drains.  Returns the final time.
-  virtual Cycle run_until_idle() = 0;
+  Cycle run_until_idle();
 
   /// Run events with timestamp <= t, then set now() = t.
-  virtual void run_until(Cycle t) = 0;
+  void run_until(Cycle t);
 
   /// Advance the clock with no event processing (used by the BSP runtime to
   /// account for pure-compute phases).  `t` must be >= now() and no pending
   /// event may be earlier than `t`.
-  virtual void advance_to(Cycle t) = 0;
+  void advance_to(Cycle t);
 
   /// Run until `counter` reads zero; now() ends at the time of the event
-  /// that zeroed it.  Returns false (stopping) if the queue empties first --
-  /// the signature of a stall.
-  virtual bool drain(const ActiveCounter& counter) = 0;
+  /// that zeroed it.  A parallel window may also have run events on other
+  /// shards up to lookahead-1 cycles past that time; they stay run.  Returns
+  /// false (stopping) if the queue empties first -- the signature of a
+  /// stall.
+  bool drain(const ActiveCounter& counter);
 
-  virtual std::size_t pending_events() const = 0;
-  virtual u64 events_executed() const = 0;
+  std::size_t pending_events() const;
+  u64 events_executed() const;
 
   /// Order digest over every executed event's (time, dest, src, seq) key,
   /// folded per destination rank so it is independent of how independent
-  /// nodes interleaved.  Equal digests => the engines executed the same
-  /// events at the same times in the same per-node order.
-  virtual u64 trace_digest() const = 0;
+  /// nodes interleaved.  Equal digests => the runs executed the same events
+  /// at the same times in the same per-node order.
+  u64 trace_digest() const;
 
-  virtual EngineReport report() const = 0;
+  EngineReport report() const;
 
   /// Capture now() plus every rank's (scheduled, executed, digest) stream.
-  /// Restored via restore_clock() -- possibly on the other implementation or
-  /// at a different thread count -- the digest continues bit-identically.
-  virtual EngineClockState capture_clock() const = 0;
+  /// Restored via restore_clock() -- possibly at a different thread count --
+  /// the digest continues bit-identically.
+  EngineClockState capture_clock() const;
 
   /// Install captured clock state on a fresh engine.  Throws
   /// std::logic_error when events are pending (restore order: clock first,
   /// then services re-arm their standing events) or when a stream's rank
   /// does not exist on this engine (geometry mismatch).
-  virtual void restore_clock(const EngineClockState& state) = 0;
+  void restore_clock(const EngineClockState& state);
 
- protected:
+ private:
+  static constexpr Cycle kNoEvent = CalendarQueue::kNoEvent;
+
+  /// One rank's event queue plus its bookkeeping.  During a parallel window
+  /// each RankQ is touched only by its owning worker; outside windows only
+  /// the coordinator runs.
+  struct RankQ {
+    CalendarQueue q;
+    u64 scheduled = 0;  ///< seq counter for events *sourced* by this rank
+    u64 executed = 0;
+    u64 digest = detail::kFnvOffset;
+    Cycle last_exec = 0;  ///< monotonicity check: catches ordering bugs loudly
+  };
+
+  /// Shard-heap entry: the head position of one rank queue, validated
+  /// lazily against the live queue head, by (time, rank) only -- the
+  /// within-rank tie-break lives in the calendar queue itself.
+  struct HeadPos {
+    Cycle time;
+    u32 rank;
+  };
+  struct HeadPosAfter {
+    bool operator()(const HeadPos& a, const HeadPos& b) const {
+      if (a.time != b.time) return a.time > b.time;
+      return a.rank > b.rank;  // host rank 0 first at equal times
+    }
+  };
+
+  struct alignas(64) WorkerSlot {
+    std::vector<std::pair<u32, QueuedEvent>> outbox;
+    /// Lazy min-heap over this shard's rank-queue heads (std::push_heap /
+    /// std::pop_heap with HeadPosAfter).  Workers touch only their own
+    /// shard's heap inside a window; the coordinator owns all of them
+    /// between windows.
+    std::vector<HeadPos> heap;
+    Cycle window_max = 0;  ///< latest event time executed this window
+    u64 window_pushed = 0;    ///< schedules made by this worker this window
+    u64 window_executed = 0;  ///< events run by this worker this window
+    std::exception_ptr error;
+  };
+
   Affinity current_affinity() const {
     const detail::ExecCtx& ctx = detail::exec_ctx();
     return ctx.engine == this ? ctx.affinity : kHostAffinity;
   }
   [[noreturn]] static void throw_past(Cycle t, Cycle now);
+  void check_not_in_event() const;
+  /// Cleanse every shard heap's top and return the earliest pending event
+  /// time.  After it returns, every non-empty shard heap front is valid.
+  Cycle global_min();
+  Cycle shard_top(int w);
+  void shard_push_entry(u32 rank, Cycle t);
+  void sample_pending();
+  /// Run one adaptive slice starting at the global minimum (host slice,
+  /// parallel window, or single-shard fast-forward).  `limit` is exclusive;
+  /// returns false when nothing is pending below it.
+  bool run_slice(Cycle limit, const ActiveCounter* stop);
+  void run_host_slice(Cycle t, const ActiveCounter* stop);
+  void run_shard_serial(int w, Cycle limit, const ActiveCounter* stop);
+  void run_window_parallel(Cycle end);
+  void process_shard(int w);
+  void exec_event(u32 rank, QueuedEvent ev);
+  void push_serial(u32 dest_rank, QueuedEvent ev);
+  void worker_main(int w);
 
+  EngineConfig cfg_;
   Cycle now_ = 0;
+  std::vector<RankQ> ranks_;
+  std::vector<u32> shard_begin_;  ///< shard w owns ranks [w, w+1) bounds
+  std::vector<u32> rank_owner_;   ///< rank -> owning shard
+
+  // Window state, written by the coordinator before releasing a generation.
+  Cycle win_end_ = 0;
+
+  // Single-shard fast-forward state: while a shard runs serially, foreign
+  // pushes it makes tighten the execution bound live.
+  int serial_shard_ = -1;
+  Cycle serial_foreign_min_ = 0;
+
+  std::vector<WorkerSlot> slots_;
+  std::vector<std::thread> workers_;
+  std::atomic<u64> go_gen_{0};
+  std::atomic<int> done_count_{0};
+  std::atomic<bool> exit_{false};
+
+  u64 windows_parallel_ = 0;
+  u64 windows_serial_ = 0;  ///< single-shard fast-forward slices
+  u64 windows_host_ = 0;
+  u64 cross_shard_events_ = 0;
+  u64 pushed_total_ = 0;    ///< all schedules (slot counters folded in)
+  u64 executed_total_ = 0;  ///< all executions (slot counters folded in)
+  u64 parallel_window_events_ = 0;
+  u64 peak_pending_ = 0;
+  double barrier_stall_seconds_ = 0;
+  std::array<u64, 16> barrier_hist_{};
+  detail::ActionAllocStats alloc_base_ = detail::action_alloc_stats();
 };
 
 /// A (engine, node) pair: the handle components hold so their schedules are
@@ -313,54 +445,6 @@ class EngineRef {
  private:
   Engine* engine_ = nullptr;
   Affinity affinity_ = kHostAffinity;
-};
-
-/// The reference implementation: one priority queue, one thread.
-class SerialEngine final : public Engine {
- public:
-  void schedule_at_on(Affinity dest, Cycle t, Action fn) override;
-  bool step() override;
-  Cycle run_until_idle() override;
-  void run_until(Cycle t) override;
-  void advance_to(Cycle t) override;
-  bool drain(const ActiveCounter& counter) override;
-  std::size_t pending_events() const override { return queue_.size(); }
-  u64 events_executed() const override { return events_; }
-  u64 trace_digest() const override;
-  EngineReport report() const override;
-  EngineClockState capture_clock() const override;
-  void restore_clock(const EngineClockState& state) override;
-
- private:
-  struct Event {
-    Cycle time;
-    u32 dest_rank;
-    u32 src_rank;
-    u64 seq;
-    Action fn;
-  };
-  struct Later {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.time != b.time) return a.time > b.time;
-      if (a.dest_rank != b.dest_rank) return a.dest_rank > b.dest_rank;
-      if (a.src_rank != b.src_rank) return a.src_rank > b.src_rank;
-      return a.seq > b.seq;
-    }
-  };
-  /// Per-rank bookkeeping: schedule counter as a source, execution count and
-  /// order digest as a destination.
-  struct Stream {
-    u64 scheduled = 0;
-    u64 executed = 0;
-    u64 digest = detail::kFnvOffset;
-  };
-
-  Stream& stream(u32 rank);
-
-  std::priority_queue<Event, std::vector<Event>, Later> queue_;
-  std::vector<Stream> streams_;
-  u64 events_ = 0;
-  detail::ActionAllocStats alloc_base_ = detail::action_alloc_stats();
 };
 
 /// Worker-thread count from QCDOC_SIM_THREADS (default 1, clamped to

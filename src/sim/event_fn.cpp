@@ -10,7 +10,7 @@ namespace {
 
 /// Freelist of kActionPoolBlock-sized blocks for oversized actions.  The
 /// lock is uncontended in practice -- oversized actions are rare (the whole
-/// point of the 48-byte inline buffer) and the parallel engine's window
+/// point of the 48-byte inline buffer) and the engine's window
 /// barriers keep the schedule rate per thread modest.  Process-lifetime
 /// state, shared by every engine, like a malloc arena.
 // qcdoc-lint: allow(mutable-static) process-wide allocator arena, see above

@@ -1,18 +1,22 @@
-// Pooled small-buffer callable for engine event actions.
+// Pooled small-buffer callables for engine event actions and per-frame
+// model callbacks.
 //
 // Every scheduled event used to carry a std::function<void()>; the typical
 // action captures two or three pointers plus a handful of integers, which
 // overflows libstdc++'s 16-byte inline buffer and costs one heap
 // allocation *per event* -- tens of millions of them in a 4^6 CG solve.
-// EventFn is a move-only replacement with a 48-byte inline buffer sized so
+// SmallFn is a move-only replacement with a 48-byte inline buffer sized so
 // that every action in the model stores inline.  Oversized callables fall
 // back to a recycling freelist of fixed-size blocks, so even they stop
-// touching the heap once the pool is warm.
+// touching the heap once the pool is warm.  EventFn, the engine's action
+// type, is SmallFn<void()>; the model's per-frame callbacks that fire
+// millions of times per solve (e.g. hssl::Hssl::DeliveryFn) use other
+// signatures of the same template and share the pool.
 //
-// The allocation counters are process-global and monotonic; the engines
-// snapshot them at construction and report deltas, and the perf benches use
-// them for a count-based (wall-time-free, flake-free) gate that the steady
-// state allocates zero heap blocks per event.
+// The allocation counters are process-global and monotonic; the engine
+// snapshots them at construction and reports deltas, and the perf benches
+// use them for a count-based (wall-time-free, flake-free) gate that the
+// steady state allocates zero heap blocks per event.
 #pragma once
 
 #include <cstddef>
@@ -50,22 +54,27 @@ ActionAllocStats action_alloc_stats() noexcept;
 
 }  // namespace detail
 
-/// Move-only type-erased void() callable with a 48-byte small-buffer
-/// optimization and a pooled heap fallback.  Drop-in for the scheduling
-/// subset of std::function<void()>: implicit construction from any
-/// invocable, operator(), bool conversion.  Copying is deliberately absent
-/// -- an event action is scheduled once and executed once.
-class EventFn {
+template <typename Sig>
+class SmallFn;
+
+/// Move-only type-erased callable with a 48-byte small-buffer optimization
+/// and a pooled heap fallback.  Drop-in for the scheduling subset of
+/// std::function: implicit construction from any invocable, operator(),
+/// bool conversion.  Copying is deliberately absent -- an event action is
+/// scheduled once and executed once, a delivery callback registered once
+/// and fired once.
+template <typename R, typename... Args>
+class SmallFn<R(Args...)> {
  public:
   static constexpr std::size_t kInlineBytes = 48;
 
-  EventFn() noexcept = default;
+  SmallFn() noexcept = default;
 
   template <typename F,
             typename D = std::decay_t<F>,
-            typename = std::enable_if_t<!std::is_same_v<D, EventFn> &&
-                                        std::is_invocable_r_v<void, D&>>>
-  EventFn(F&& f) {  // NOLINT(google-explicit-constructor): mirrors std::function
+            typename = std::enable_if_t<!std::is_same_v<D, SmallFn> &&
+                                        std::is_invocable_r_v<R, D&, Args...>>>
+  SmallFn(F&& f) {  // NOLINT(google-explicit-constructor): mirrors std::function
     if constexpr (sizeof(D) <= kInlineBytes &&
                   alignof(D) <= alignof(std::max_align_t) &&
                   std::is_nothrow_move_constructible_v<D>) {
@@ -83,13 +92,13 @@ class EventFn {
     ops_ = &kOps<D>;
   }
 
-  EventFn(EventFn&& o) noexcept : heap_(o.heap_), ops_(o.ops_) {
+  SmallFn(SmallFn&& o) noexcept : heap_(o.heap_), ops_(o.ops_) {
     if (ops_ != nullptr && heap_ == nullptr) ops_->relocate(buf_, o.buf_);
     o.heap_ = nullptr;
     o.ops_ = nullptr;
   }
 
-  EventFn& operator=(EventFn&& o) noexcept {
+  SmallFn& operator=(SmallFn&& o) noexcept {
     if (this != &o) {
       reset();
       heap_ = o.heap_;
@@ -101,10 +110,10 @@ class EventFn {
     return *this;
   }
 
-  EventFn(const EventFn&) = delete;
-  EventFn& operator=(const EventFn&) = delete;
+  SmallFn(const SmallFn&) = delete;
+  SmallFn& operator=(const SmallFn&) = delete;
 
-  ~EventFn() { reset(); }
+  ~SmallFn() { reset(); }
 
   void reset() noexcept {
     if (ops_ == nullptr) return;
@@ -118,11 +127,13 @@ class EventFn {
 
   explicit operator bool() const noexcept { return ops_ != nullptr; }
 
-  void operator()() { ops_->call(target()); }
+  R operator()(Args... args) {
+    return ops_->call(target(), std::forward<Args>(args)...);
+  }
 
  private:
   struct Ops {
-    void (*call)(void*);
+    R (*call)(void*, Args...);
     /// Move-construct the target from `src` into `dst`, then destroy the
     /// source.  Only ever used for inline targets, which are restricted to
     /// nothrow-move-constructible types.
@@ -133,7 +144,9 @@ class EventFn {
 
   template <typename D>
   static constexpr Ops kOps{
-      [](void* p) { (*static_cast<D*>(p))(); },
+      [](void* p, Args... args) -> R {
+        return (*static_cast<D*>(p))(std::forward<Args>(args)...);
+      },
       [](void* dst, void* src) noexcept {
         ::new (dst) D(std::move(*static_cast<D*>(src)));
         static_cast<D*>(src)->~D();
@@ -147,5 +160,8 @@ class EventFn {
   void* heap_ = nullptr;
   const Ops* ops_ = nullptr;
 };
+
+/// The engine's event action: scheduled once, executed once.
+using EventFn = SmallFn<void()>;
 
 }  // namespace qcdoc::sim

@@ -2,9 +2,9 @@
 //
 // The kill tests prove the sanitizer actually fires: a deliberately injected
 // cross-affinity write -- a node-0 event mutating node 1's wire without a
-// declared touched set -- must trap with AffinityViolation on the serial
-// engine and on the parallel engine at 2 and 4 threads (where the trap is
-// thrown on a worker and rethrown at the window barrier).  Without
+// declared touched set -- must trap with AffinityViolation at 1, 2 and 4
+// engine threads (with workers, the trap is thrown on a worker and rethrown
+// at the window barrier).  Without
 // QCDOC_AFFSAN the same access must pass silently: the macros compile away.
 #include <gtest/gtest.h>
 
@@ -126,7 +126,7 @@ void expect_injected_write_traps(int threads) {
   EXPECT_THROW(m.engine().run_until_idle(), sim::AffinityViolation);
 }
 
-TEST(AffSanKill, InjectedCrossAffinityWriteTrapsSerial) {
+TEST(AffSanKill, InjectedCrossAffinityWriteTrapsAt1Thread) {
   if (!sim::affsan::enabled()) GTEST_SKIP() << "built without QCDOC_AFFSAN";
   expect_injected_write_traps(1);
 }

@@ -1,6 +1,6 @@
 // EventFn unit tests plus the counting-allocator gate: this binary replaces
-// the global operator new/delete with counting versions, warms both engines
-// on a synthetic cross-node workload, and then asserts that re-running the
+// the global operator new/delete with counting versions, warms the engine
+// at 1, 2 and 4 threads on a synthetic cross-node workload, and then asserts that re-running the
 // identical workload performs ZERO heap allocations -- the per-event
 // std::function allocation the event-path overhaul removed must not creep
 // back in anywhere on the hot path (actions, queue buckets, outboxes,
@@ -13,7 +13,6 @@
 
 #include "sim/engine.h"
 #include "sim/event_fn.h"
-#include "sim/parallel_engine.h"
 
 namespace {
 std::atomic<qcdoc::u64> g_heap_allocs{0};
@@ -194,27 +193,25 @@ void expect_steady_state_alloc_free(Engine& eng, const char* what) {
       << what << ": action pool must not grow in steady state";
 }
 
-TEST(AllocGate, SerialEngineSteadyStateAllocatesNothing) {
-  SerialEngine eng;
-  expect_steady_state_alloc_free(eng, "serial");
+EngineConfig gate_config(int threads) {
+  return {.threads = threads,
+          .lookahead = kLookahead,
+          .num_nodes = static_cast<int>(kNodes)};
+}
+
+TEST(AllocGate, OneThreadSteadyStateAllocatesNothing) {
+  Engine eng(gate_config(1));
+  expect_steady_state_alloc_free(eng, "1 thread");
 }
 
 TEST(AllocGate, ParallelEngineSteadyStateAllocatesNothing) {
-  ParallelConfig cfg;
-  cfg.threads = 2;
-  cfg.lookahead = kLookahead;
-  cfg.num_nodes = static_cast<int>(kNodes);
-  ParallelEngine eng(cfg);
-  expect_steady_state_alloc_free(eng, "parallel 2t");
+  Engine eng(gate_config(2));
+  expect_steady_state_alloc_free(eng, "2 threads");
 }
 
 TEST(AllocGate, ParallelEngineFourThreadsSteadyStateAllocatesNothing) {
-  ParallelConfig cfg;
-  cfg.threads = 4;
-  cfg.lookahead = kLookahead;
-  cfg.num_nodes = static_cast<int>(kNodes);
-  ParallelEngine eng(cfg);
-  expect_steady_state_alloc_free(eng, "parallel 4t");
+  Engine eng(gate_config(4));
+  expect_steady_state_alloc_free(eng, "4 threads");
 }
 
 }  // namespace

@@ -582,9 +582,9 @@ TEST(FaultCampaign, WholeCampaignIsBitReproducible) {
   EXPECT_EQ(a.trace_digest, b.trace_digest);
 }
 
-// The same campaign on the parallel engine: faults, health verdicts, CG
+// The same campaign at 2 and 4 threads: faults, health verdicts, CG
 // rollbacks, the solution field and the event-order digest must all be
-// bit-identical to the serial run at every thread count.
+// bit-identical to the 1-thread run.
 TEST(FaultCampaign, WholeCampaignIsBitIdenticalAcrossEngines) {
   const CampaignOutcome serial = run_campaign(1);
   for (const int threads : {2, 4}) {

@@ -4,15 +4,14 @@
 // run a 10-iteration Wilson CG solve -- is summarized in five numbers: the
 // engine's event-order digest, the event count, the final cycle, the bit
 // pattern of the CG residual, and an FNV-1a checksum of every double in the
-// solution field.  The committed golden file pins all five; the serial and
-// parallel engines (any thread count) must reproduce them exactly.  A
-// mismatch means event order, timing, or arithmetic changed -- either an
+// solution field.  The committed golden file pins all five; the engine must
+// reproduce them exactly at any thread count.  A mismatch means event order, timing, or arithmetic changed -- either an
 // intentional model change (regenerate, see below) or a determinism bug.
 //
 // Regenerate after an intentional model change with:
 //   QCDOC_REGEN_GOLDEN=1 ./test_golden_trace
-// and commit the updated tests/golden/ file.  The regeneration always uses
-// the serial engine, the reference semantics.
+// and commit the updated tests/golden/ file.  The regeneration always runs
+// at 1 thread.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -138,7 +137,7 @@ TraceSummary read_golden() {
 void check_against_golden(int threads) {
   const TraceSummary got = run_workload(threads);
   if (std::getenv("QCDOC_REGEN_GOLDEN")) {
-    ASSERT_EQ(threads, 1) << "golden files are regenerated serially";
+    ASSERT_EQ(threads, 1) << "golden files are regenerated at 1 thread";
     write_golden(got);
     GTEST_SKIP() << "regenerated " << kGoldenFile;
   }
@@ -152,7 +151,7 @@ void check_against_golden(int threads) {
       << "solution field diverged";
 }
 
-TEST(GoldenTrace, SerialEngineReproducesCommittedTrace) {
+TEST(GoldenTrace, OneThreadReproducesCommittedTrace) {
   check_against_golden(1);
 }
 

@@ -12,7 +12,7 @@ namespace qcdoc::hssl {
 namespace {
 
 struct Wire {
-  sim::SerialEngine engine;
+  sim::Engine engine;
   sim::StatSet stats;
   HsslConfig cfg;
   std::unique_ptr<Hssl> link;

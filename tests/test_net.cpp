@@ -15,8 +15,9 @@ MeshConfig small_mesh(std::array<int, 6> extents) {
 }
 
 TEST(MeshNet, AllLinksTrainAfterPowerOn) {
-  sim::SerialEngine engine;
-  MeshNet mesh(&engine, small_mesh({2, 2, 2, 1, 1, 1}));
+  const MeshConfig cfg = small_mesh({2, 2, 2, 1, 1, 1});
+  sim::Engine engine({.num_nodes = cfg.shape.volume()});
+  MeshNet mesh(&engine, cfg);
   EXPECT_FALSE(mesh.all_trained());
   mesh.power_on();
   engine.run_until_idle();
@@ -25,8 +26,9 @@ TEST(MeshNet, AllLinksTrainAfterPowerOn) {
 }
 
 TEST(MeshNet, SupervisorPacketCrossesTheMesh) {
-  sim::SerialEngine engine;
-  MeshNet mesh(&engine, small_mesh({2, 2, 1, 1, 1, 1}));
+  const MeshConfig cfg = small_mesh({2, 2, 1, 1, 1, 1});
+  sim::Engine engine({.num_nodes = cfg.shape.volume()});
+  MeshNet mesh(&engine, cfg);
   mesh.power_on();
   engine.run_until_idle();
 
@@ -47,8 +49,9 @@ TEST(MeshNet, SupervisorPacketCrossesTheMesh) {
 }
 
 TEST(MeshNet, DmaBetweenNeighborsThroughTheTorus) {
-  sim::SerialEngine engine;
-  MeshNet mesh(&engine, small_mesh({4, 2, 1, 1, 1, 1}));
+  const MeshConfig cfg = small_mesh({4, 2, 1, 1, 1, 1});
+  sim::Engine engine({.num_nodes = cfg.shape.volume()});
+  MeshNet mesh(&engine, cfg);
   mesh.power_on();
   engine.run_until_idle();
 
@@ -70,8 +73,9 @@ TEST(MeshNet, DmaBetweenNeighborsThroughTheTorus) {
 }
 
 TEST(MeshNet, ChecksumVerificationDetectsTampering) {
-  sim::SerialEngine engine;
-  MeshNet mesh(&engine, small_mesh({2, 1, 1, 1, 1, 1}));
+  const MeshConfig cfg = small_mesh({2, 1, 1, 1, 1, 1});
+  sim::Engine engine({.num_nodes = cfg.shape.volume()});
+  MeshNet mesh(&engine, cfg);
   mesh.power_on();
   engine.run_until_idle();
   // Data that never went over a wire: fake a mismatch by sending on one
@@ -107,9 +111,9 @@ TEST(MeshNet, ChecksumVerificationDetectsTampering) {
 }
 
 TEST(MeshNet, PartitionInterruptFloodsWholeMachine) {
-  sim::SerialEngine engine;
   auto cfg = small_mesh({2, 2, 2, 2, 1, 1});
   cfg.pirq_window_cycles = 4096;
+  sim::Engine engine({.num_nodes = cfg.shape.volume()});
   MeshNet mesh(&engine, cfg);
   mesh.power_on();
   engine.run_until_idle();
@@ -127,9 +131,9 @@ TEST(MeshNet, PartitionInterruptFloodsWholeMachine) {
 }
 
 TEST(MeshNet, PartitionInterruptDeliveredWithinWindows) {
-  sim::SerialEngine engine;
   auto cfg = small_mesh({2, 2, 2, 1, 1, 1});
   cfg.pirq_window_cycles = 8192;
+  sim::Engine engine({.num_nodes = cfg.shape.volume()});
   MeshNet mesh(&engine, cfg);
   mesh.power_on();
   engine.run_until_idle();
@@ -149,7 +153,7 @@ TEST(MeshNet, PartitionInterruptDeliveredWithinWindows) {
 }
 
 TEST(EthernetTree, PacketDeliveryAndAccounting) {
-  sim::SerialEngine engine;
+  sim::Engine engine;
   EthernetConfig cfg;
   EthernetTree eth(&engine, cfg, 4);
   int delivered = 0;
@@ -165,7 +169,7 @@ TEST(EthernetTree, PacketDeliveryAndAccounting) {
 }
 
 TEST(EthernetTree, HostLinkIsSharedNodeLinksAreNot) {
-  sim::SerialEngine engine;
+  sim::Engine engine;
   EthernetConfig cfg;
   cfg.host_links = 1;
   EthernetTree eth(&engine, cfg, 2);
@@ -213,8 +217,9 @@ namespace qcdoc::net {
 namespace {
 
 TEST(MeshNet, QuiescenceCounterMatchesExhaustiveScan) {
-  sim::SerialEngine engine;
-  MeshNet mesh(&engine, small_mesh({2, 2, 1, 1, 1, 1}));
+  const MeshConfig cfg = small_mesh({2, 2, 1, 1, 1, 1});
+  sim::Engine engine({.num_nodes = cfg.shape.volume()});
+  MeshNet mesh(&engine, cfg);
   mesh.power_on();
   engine.run_until_idle();
   EXPECT_TRUE(mesh.quiescent());
@@ -242,9 +247,9 @@ class ErrorRateSweep : public ::testing::TestWithParam<double> {};
 
 TEST_P(ErrorRateSweep, DataIntegrityOrChecksumMismatch) {
   const double ber = GetParam();
-  sim::SerialEngine engine;
   auto cfg = small_mesh({2, 1, 1, 1, 1, 1});
   cfg.hssl.bit_error_rate = ber;
+  sim::Engine engine({.num_nodes = cfg.shape.volume()});
   MeshNet mesh(&engine, cfg);
   mesh.power_on();
   engine.run_until_idle();

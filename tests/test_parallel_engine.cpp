@@ -1,7 +1,7 @@
-// Contract tests for the parallel simulation engine: bit-identical order
-// with the serial engine, loud failure on lookahead violations, and the
-// drain/step/advance semantics both engines must share (engine.h's
-// execution-order contract).
+// Contract tests for the simulation engine: bit-identical order with the
+// single-heap oracle (reference_engine.h) at 1, 2 and 4 threads, loud
+// failure on lookahead violations, and the drain/step/advance semantics of
+// engine.h's execution-order contract at every thread count.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -12,24 +12,30 @@
 
 #include "common/rng.h"
 #include "machine/machine.h"
+#include "reference_engine.h"
 #include "sim/engine.h"
-#include "sim/parallel_engine.h"
 
 namespace qcdoc::sim {
 namespace {
 
 constexpr Cycle kLookahead = 20;
 
+/// An engine at `threads` threads over `nodes` nodes, lookahead kLookahead.
+EngineConfig config(int threads, int nodes = 8) {
+  return {.threads = threads, .lookahead = kLookahead, .num_nodes = nodes};
+}
+
 // A synthetic multi-node workload: every node keeps a private counter, each
 // event re-arms itself on its own node (any delay is legal) and pokes the
 // next node no sooner than the lookahead (the only legal cross-node delay,
 // mirroring the HSSL's serialization + wire time).
+template <typename E>
 struct Workload {
-  Engine* e;
+  E* e;
   int n;
   std::vector<u64> hits;  // per node; only that node's events touch it
 
-  explicit Workload(Engine* engine, int nodes)
+  explicit Workload(E* engine, int nodes)
       : e(engine), n(nodes), hits(static_cast<std::size_t>(nodes), 0) {}
 
   void fire(int node, int depth) {
@@ -59,20 +65,21 @@ struct RunResult {
   std::vector<u64> hits;
 };
 
-RunResult run_workload(Engine& e, int nodes) {
-  Workload w(&e, nodes);
+template <typename E>
+RunResult run_workload(E& e, int nodes) {
+  Workload<E> w(&e, nodes);
   w.seed_and_run();
   return {e.trace_digest(), e.events_executed(), e.now(), w.hits};
 }
 
 TEST(ParallelEngine, BitIdenticalToSerialOnSyntheticWorkload) {
-  SerialEngine serial;
-  const RunResult ref = run_workload(serial, 8);
+  ReferenceEngine oracle;
+  const RunResult ref = run_workload(oracle, 8);
   ASSERT_GT(ref.events, 100u);
 
   for (const int threads : {1, 2, 4}) {
-    ParallelEngine par(ParallelConfig{threads, kLookahead, 8});
-    const RunResult got = run_workload(par, 8);
+    Engine e(config(threads));
+    const RunResult got = run_workload(e, 8);
     EXPECT_EQ(got.digest, ref.digest) << threads << " threads";
     EXPECT_EQ(got.events, ref.events) << threads << " threads";
     EXPECT_EQ(got.end, ref.end) << threads << " threads";
@@ -81,35 +88,37 @@ TEST(ParallelEngine, BitIdenticalToSerialOnSyntheticWorkload) {
 }
 
 TEST(ParallelEngine, StepByStepMatchesSerialEngine) {
-  SerialEngine serial;
-  ParallelEngine par(ParallelConfig{2, kLookahead, 4});
-  for (Engine* e : {static_cast<Engine*>(&serial), static_cast<Engine*>(&par)}) {
-    for (int i = 3; i >= 0; --i) {
-      e->schedule_on(static_cast<Affinity>(i), static_cast<Cycle>(10 * i), [] {});
-    }
+  ReferenceEngine oracle;
+  Engine e(config(2, 4));
+  for (int i = 3; i >= 0; --i) {
+    oracle.schedule_on(static_cast<Affinity>(i), static_cast<Cycle>(10 * i),
+                       [] {});
+    e.schedule_on(static_cast<Affinity>(i), static_cast<Cycle>(10 * i), [] {});
   }
-  // step() must execute exactly one event in global key order on any engine.
+  // step() must execute exactly one event in global key order.
   for (int i = 0; i < 4; ++i) {
-    EXPECT_TRUE(par.step());
-    EXPECT_TRUE(serial.step());
-    EXPECT_EQ(par.now(), serial.now());
-    EXPECT_EQ(par.trace_digest(), serial.trace_digest());
+    EXPECT_TRUE(e.step());
+    EXPECT_TRUE(oracle.step());
+    EXPECT_EQ(e.now(), oracle.now());
+    EXPECT_EQ(e.trace_digest(), oracle.trace_digest());
   }
-  EXPECT_FALSE(par.step());
-  EXPECT_FALSE(serial.step());
+  EXPECT_FALSE(e.step());
+  EXPECT_FALSE(oracle.step());
 }
 
 TEST(ParallelEngine, CrossNodeScheduleInsideLookaheadThrows) {
-  ParallelEngine e(ParallelConfig{2, 10, 2});
-  // Node 0 tries to poke node 1 after a single cycle -- faster than any
-  // frame could physically arrive, and inside the current window.  The
-  // engine must fail loudly rather than silently diverge from serial order.
-  e.schedule_on(0, 0, [&e] { e.schedule_on(1, 1, [] {}); });
-  EXPECT_THROW(e.run_until_idle(), std::logic_error);
+  for (const int threads : {1, 2}) {
+    Engine e(EngineConfig{threads, 10, 2});
+    // Node 0 tries to poke node 1 after a single cycle -- faster than any
+    // frame could physically arrive.  The engine must fail loudly at every
+    // thread count rather than silently depend on the execution path.
+    e.schedule_on(0, 0, [&e] { e.schedule_on(1, 1, [] {}); });
+    EXPECT_THROW(e.run_until_idle(), std::logic_error) << threads;
+  }
 }
 
 TEST(ParallelEngine, AffinityOutOfRangeThrows) {
-  ParallelEngine e(ParallelConfig{2, 10, 2});
+  Engine e(EngineConfig{2, 10, 2});
   EXPECT_THROW(e.schedule_on(2, 0, [] {}), std::invalid_argument);
   EXPECT_THROW(e.schedule_on(17, 0, [] {}), std::invalid_argument);
   e.schedule_on(kHostAffinity, 0, [] {});  // host is always valid
@@ -119,90 +128,102 @@ TEST(ParallelEngine, AffinityOutOfRangeThrows) {
 }
 
 TEST(ParallelEngine, ReentrantSteppingThrows) {
-  ParallelEngine e(ParallelConfig{2, 10, 2});
+  Engine e(EngineConfig{2, 10, 2});
   e.schedule_on(kHostAffinity, 0, [&e] { e.step(); });
   EXPECT_THROW(e.run_until_idle(), std::logic_error);
 }
 
 // Satellite contract: schedule_at into the past must be rejected with a
-// clear error on every engine, instead of corrupting the event order.
+// clear error at one thread and with worker windows, instead of corrupting
+// the event order.
 TEST(EngineContract, ScheduleAtPastThrowsOnBothEngines) {
-  SerialEngine serial;
-  ParallelEngine par(ParallelConfig{2, 10, 2});
-  for (Engine* e : {static_cast<Engine*>(&serial), static_cast<Engine*>(&par)}) {
-    e->schedule_at(100, [] {});
-    e->run_until_idle();
-    ASSERT_EQ(e->now(), 100u);
-    EXPECT_THROW(e->schedule_at(50, [] {}), std::invalid_argument);
+  for (const int threads : {1, 2}) {
+    Engine e(EngineConfig{threads, 10, 2});
+    e.schedule_at(100, [] {});
+    e.run_until_idle();
+    ASSERT_EQ(e.now(), 100u);
+    EXPECT_THROW(e.schedule_at(50, [] {}), std::invalid_argument);
     try {
-      e->schedule_at(50, [] {});
+      e.schedule_at(50, [] {});
       FAIL() << "no exception";
     } catch (const std::invalid_argument& ex) {
       EXPECT_NE(std::string(ex.what()).find("past"), std::string::npos);
       EXPECT_NE(std::string(ex.what()).find("t=50"), std::string::npos);
     }
     // t == now() is legal (zero-delay events are common in the SCU model).
-    e->schedule_at(100, [] {});
-    e->run_until_idle();
+    e.schedule_at(100, [] {});
+    e.run_until_idle();
   }
 }
 
 TEST(EngineContract, DrainStopsTheClockAtTheZeroingEvent) {
-  SerialEngine serial;
-  ParallelEngine par(ParallelConfig{2, 10, 2});
-  for (Engine* e : {static_cast<Engine*>(&serial), static_cast<Engine*>(&par)}) {
+  for (const int threads : {1, 2, 4}) {
+    Engine e(EngineConfig{threads, 10, 8});
     ActiveCounter c;
     c.increment();
-    e->schedule_on(0, 50, [&] { c.decrement(e->now()); });
-    e->schedule_on(1, 80, [] {});  // must stay pending
-    EXPECT_TRUE(e->drain(c));
-    EXPECT_EQ(e->now(), 50u);
+    bool late_ran = false;
+    e.schedule_on(0, 50, [&] { c.decrement(e.now()); });
+    // Node 7 sits on another shard from 2 threads up, inside the window
+    // that zeroes the counter: the window may run it, but the clock must
+    // still stop at 50.
+    e.schedule_on(7, 55, [] {});
+    e.schedule_on(1, 80, [&] { late_ran = true; });  // beyond the window
+    EXPECT_TRUE(e.drain(c));
+    EXPECT_EQ(e.now(), 50u) << threads << " threads";
     EXPECT_EQ(c.last_zero_at(), 50u);
-    EXPECT_EQ(e->pending_events(), 1u);
-    e->run_until_idle();
+    EXPECT_FALSE(late_ran) << threads << " threads";
+    e.run_until_idle();
+    EXPECT_EQ(e.events_executed(), 3u);
   }
 }
 
 TEST(EngineContract, DrainReportsStallWhenQueueEmptiesFirst) {
-  SerialEngine serial;
-  ParallelEngine par(ParallelConfig{2, 10, 2});
-  for (Engine* e : {static_cast<Engine*>(&serial), static_cast<Engine*>(&par)}) {
+  for (const int threads : {1, 2}) {
+    Engine e(EngineConfig{threads, 10, 2});
     ActiveCounter c;
     c.increment();
-    e->schedule_on(0, 5, [] {});
-    EXPECT_FALSE(e->drain(c));  // counter never reaches zero: a stall
+    e.schedule_on(0, 5, [] {});
+    EXPECT_FALSE(e.drain(c));  // counter never reaches zero: a stall
   }
 }
 
 TEST(EngineContract, AdvanceToRefusesToSkipPendingEvents) {
-  SerialEngine serial;
-  ParallelEngine par(ParallelConfig{2, 10, 2});
-  for (Engine* e : {static_cast<Engine*>(&serial), static_cast<Engine*>(&par)}) {
-    e->schedule_at(10, [] {});
-    EXPECT_THROW(e->advance_to(20), std::logic_error);
-    e->run_until_idle();
-    e->advance_to(200);
-    EXPECT_EQ(e->now(), 200u);
+  for (const int threads : {1, 2}) {
+    Engine e(EngineConfig{threads, 10, 2});
+    e.schedule_at(10, [] {});
+    EXPECT_THROW(e.advance_to(20), std::logic_error);
+    e.run_until_idle();
+    e.advance_to(200);
+    EXPECT_EQ(e.now(), 200u);
   }
 }
 
 TEST(ParallelEngine, ReportCountsWindowsAndShards) {
-  ParallelEngine e(ParallelConfig{2, kLookahead, 8});
-  run_workload(e, 8);
-  const EngineReport r = e.report();
-  EXPECT_EQ(r.kind, "parallel");
-  EXPECT_EQ(r.threads, 2);
-  EXPECT_EQ(r.lookahead, kLookahead);
-  EXPECT_GT(r.windows_parallel, 0u);
-  EXPECT_GT(r.cross_shard_events, 0u);
-  u64 total = 0;
-  for (const u64 s : r.shard_events) total += s;
-  EXPECT_EQ(total, r.events);
-  EXPECT_EQ(r.events, e.events_executed());
+  for (const int threads : {1, 2}) {
+    Engine e(config(threads));
+    run_workload(e, 8);
+    const EngineReport r = e.report();
+    EXPECT_EQ(r.threads, threads);
+    EXPECT_EQ(r.lookahead, kLookahead);
+    if (threads == 1) {
+      EXPECT_EQ(r.windows_parallel, 0u);
+      EXPECT_EQ(r.cross_shard_events, 0u);
+      EXPECT_GT(r.windows_serial, 0u);
+    } else {
+      EXPECT_GT(r.windows_parallel, 0u);
+      EXPECT_GT(r.cross_shard_events, 0u);
+    }
+    EXPECT_GT(r.peak_pending_events, 0u) << threads << " threads";
+    ASSERT_EQ(r.shard_events.size(), static_cast<std::size_t>(threads));
+    u64 total = 0;
+    for (const u64 s : r.shard_events) total += s;
+    EXPECT_EQ(total, r.events);
+    EXPECT_EQ(r.events, e.events_executed());
+  }
 }
 
 TEST(ParallelEngine, ReportPopulatesBarrierAndActionPoolCounters) {
-  ParallelEngine e(ParallelConfig{4, kLookahead, 8});
+  Engine e(config(4));
   run_workload(e, 8);
   const EngineReport r = e.report();
   ASSERT_GT(r.windows_parallel, 0u);
@@ -226,61 +247,67 @@ TEST(ParallelEngine, ReportPopulatesBarrierAndActionPoolCounters) {
   EXPECT_EQ(r.action_oversize_allocs, 0u);
 }
 
+// A long self-rearming chain confined to node 2.
+template <typename E>
+void run_chain(E& e) {
+  struct Chain {
+    E* e;
+    int left = 300;
+    void fire() {
+      if (--left > 0) e->schedule(7, [this] { fire(); });
+    }
+  };
+  Chain c{&e};
+  e.schedule_on(2, 1, [&c] { c.fire(); });
+  e.run_until_idle();
+}
+
 // Adaptive-window satellite: when only one shard holds events, the engine
 // must fast-forward that shard serially (no worker handoff, no barrier)
 // instead of running degenerate one-shard "parallel" windows.
 TEST(ParallelEngine, SingleShardBacklogFastForwardsSerially) {
-  SerialEngine serial;
-  ParallelEngine par(ParallelConfig{4, kLookahead, 8});
-  for (Engine* e : {static_cast<Engine*>(&serial), static_cast<Engine*>(&par)}) {
-    // A long self-rearming chain confined to node 2: every window sees
-    // exactly one live shard.
-    struct Chain {
-      Engine* e;
-      int left = 300;
-      void fire() {
-        if (--left > 0) e->schedule(7, [this] { fire(); });
-      }
-    };
-    Chain c{e};
-    e->schedule_on(2, 1, [&c] { c.fire(); });
-    e->run_until_idle();
-  }
-  EXPECT_EQ(par.trace_digest(), serial.trace_digest());
-  EXPECT_EQ(par.events_executed(), serial.events_executed());
-  const EngineReport r = par.report();
+  ReferenceEngine oracle;
+  Engine e(config(4));
+  run_chain(oracle);
+  run_chain(e);
+  EXPECT_EQ(e.trace_digest(), oracle.trace_digest());
+  EXPECT_EQ(e.events_executed(), oracle.events_executed());
+  const EngineReport r = e.report();
   EXPECT_GT(r.windows_serial, 0u);
   EXPECT_EQ(r.windows_parallel, 0u)
       << "a one-shard backlog must never engage the worker barrier";
 }
 
-// Host events must ride in their own seam slices (windows_host) without
-// demoting the surrounding node windows, and the mixed schedule must stay
-// bit-identical to the serial engine at every thread count.
-TEST(ParallelEngine, MixedHostNodeWorkloadBitIdenticalWithHostSlices) {
+// Node work plus a host heartbeat every 9 cycles.
+template <typename E>
+std::pair<u64, u64> run_mixed(E& e) {
   struct Beat {
-    Engine* e;
+    E* e;
     u64 count = 0;
     void fire() {
       ++count;
       if (count < 40) e->schedule_on(kHostAffinity, 9, [this] { fire(); });
     }
   };
-  auto run_mixed = [](Engine& e) {
-    Workload w(&e, 8);
-    Beat beat{&e};
-    e.schedule_on(kHostAffinity, 0, [&beat] { beat.fire(); });
-    w.seed_and_run();
-    EXPECT_EQ(beat.count, 40u);
-    return std::pair<u64, u64>{e.trace_digest(), e.events_executed()};
-  };
-  SerialEngine serial;
-  const auto ref = run_mixed(serial);
+  Workload<E> w(&e, 8);
+  Beat beat{&e};
+  e.schedule_on(kHostAffinity, 0, [&beat] { beat.fire(); });
+  w.seed_and_run();
+  EXPECT_EQ(beat.count, 40u);
+  return {e.trace_digest(), e.events_executed()};
+}
+
+// Host events must ride in their own seam slices (windows_host) without
+// demoting the surrounding node windows, and the mixed schedule must stay
+// bit-identical to the oracle at every thread count.
+TEST(ParallelEngine, MixedHostNodeWorkloadBitIdenticalWithHostSlices) {
+  ReferenceEngine oracle;
+  const auto ref = run_mixed(oracle);
   for (const int threads : {1, 2, 4}) {
-    ParallelEngine par(ParallelConfig{threads, kLookahead, 8});
-    const auto got = run_mixed(par);
+    Engine e(config(threads));
+    const auto got = run_mixed(e);
     EXPECT_EQ(got, ref) << threads << " threads";
-    const EngineReport r = par.report();
+    const EngineReport r = e.report();
     EXPECT_GT(r.windows_host, 0u) << threads << " threads";
     if (threads > 1) {
       EXPECT_GT(r.windows_parallel, 0u)
@@ -291,7 +318,7 @@ TEST(ParallelEngine, MixedHostNodeWorkloadBitIdenticalWithHostSlices) {
 }
 
 // End to end: a whole machine boot must produce the same event-order digest,
-// clock and event count whether simulated serially or on worker threads.
+// clock and event count at every thread count.
 TEST(ParallelEngine, MachineBootIsBitIdenticalAcrossThreadCounts) {
   struct Boot {
     u64 digest;
@@ -534,9 +561,8 @@ void run_oracle_campaign(Oracle& ref, Sub& sub, int threads, u64 seed) {
 TEST(StepOrderOracle, RandomCallMixMatchesTheOracleAt1To4Threads) {
   for (const int threads : {1, 2, 4}) {
     for (const u64 seed : {1ull, 2ull, 3ull}) {
-      SerialEngine ref;
-      ParallelEngine sub(ParallelConfig{threads, kLookahead,
-                                        static_cast<int>(kOracleNodes)});
+      ReferenceEngine ref;
+      Engine sub(config(threads, static_cast<int>(kOracleNodes)));
       run_oracle_campaign(ref, sub, threads, seed);
       if (::testing::Test::HasFatalFailure()) return;
     }

@@ -97,7 +97,7 @@ TEST(Packet, CorruptFlipsExactlyNBits) {
 // --- Link protocol harness --------------------------------------------------
 
 struct LinkPair {
-  sim::SerialEngine engine;
+  sim::Engine engine;
   sim::StatSet stats;
   hssl::HsslConfig hssl_cfg;
   std::unique_ptr<hssl::Hssl> wire_ab, wire_ba;
