@@ -247,7 +247,6 @@ bool Engine::run_slice(Cycle limit, const ActiveCounter* stop) {
   const Cycle host_head = ranks_[0].q.min_time();
   if (host_head == T) {
     run_host_slice(T, stop);
-    sample_pending();
     return true;
   }
   Cycle end = T + cfg_.lookahead;
@@ -269,7 +268,6 @@ bool Engine::run_slice(Cycle limit, const ActiveCounter* stop) {
   } else {
     run_shard_serial(only, limit, stop);
   }
-  sample_pending();
   return true;
 }
 
@@ -288,6 +286,7 @@ void Engine::run_host_slice(Cycle t, const ActiveCounter* stop) {
   }
   const Cycle m = host.q.min_time();
   if (m != kNoEvent && m != t) shard_push_entry(0, m);
+  sample_pending();
 }
 
 void Engine::run_shard_serial(int w, Cycle limit, const ActiveCounter* stop) {
@@ -339,7 +338,7 @@ void Engine::run_shard_serial(int w, Cycle limit, const ActiveCounter* stop) {
     const Cycle m = rq.q.min_time();
     if (m != kNoEvent) shard_push_entry(r, m);
     // One slice can be a whole single-threaded run, so the high-water mark
-    // is sampled per rank batch here, not only when the slice ends.
+    // is sampled per rank batch.
     sample_pending();
   }
   serial_shard_ = -1;
@@ -406,6 +405,7 @@ void Engine::run_window_parallel(Cycle end) {
     parallel_window_events_ += slot.window_executed;
   }
   now_ = latest;
+  sample_pending();
 }
 
 void Engine::process_shard(int w) {
