@@ -331,8 +331,8 @@ void Engine::run_shard_serial(int w, Cycle limit, const ActiveCounter* stop) {
       }
       // A same-time schedule onto the host must run before this rank's
       // remaining events at `top` (rank 0 orders first).  Fall back to the
-      // heap, which now holds the host's entry (w == 0), or return to the
-      // slice driver (w != 0).
+      // heap, which now holds the host's entry (w == 0), or return to
+      // run_slice() (w != 0).
       if (r != 0 && ranks_[0].q.min_time() == top) break;
     }
     const Cycle m = rq.q.min_time();

@@ -371,8 +371,8 @@ class RandomWorkload {
   }
 
   /// Refill every rank's spawn budget, start an equal-time burst on three
-  /// nodes at `d` and one host event at `host_d`.  Driver side: no event is
-  /// running.
+  /// nodes at `d` and one host event at `host_d`.  Called between engine
+  /// calls: no event is running.
   void seed(const std::array<u32, 3>& ranks, Cycle d, Cycle host_d) {
     budget_.assign(kOracleNodes + 1, 40);
     for (const u32 rank : ranks) {
@@ -446,7 +446,7 @@ class RandomWorkload {
   Cycle host_delay_min_;
   std::vector<Rng> rngs_;     ///< per rank; only that rank's events draw
   std::vector<u32> budget_;   ///< per rank, likewise
-  bool recording_ = false;    ///< flipped by the driver between calls
+  bool recording_ = false;    ///< flipped between engine calls
   std::vector<std::pair<Cycle, u32>> log_;
 };
 
