@@ -116,7 +116,7 @@ BootReport BootSequencer::boot() {
   machine_->mesh().pirq().raise(NodeId{0}, 0x1);
   machine_->engine().run_while(
       [&] { return nodes_seen < machine_->num_nodes(); });
-  machine_->mesh().pirq().set_interrupt_handler(nullptr);
+  machine_->mesh().pirq().set_interrupt_handler({});
   report.partition_interrupt_ok = nodes_seen == machine_->num_nodes();
   for (int i = 0; i < machine_->num_nodes(); ++i) {
     if (states_[static_cast<std::size_t>(i)] ==

@@ -28,11 +28,30 @@ Hssl::Hssl(sim::EngineRef engine, HsslConfig cfg, Rng error_stream,
   set_bit_error_rate(cfg_.bit_error_rate);  // clamp whatever the config holds
 }
 
+void Hssl::track_untrained(std::atomic<long>* counter) {
+  untrained_ = counter;
+  if (untrained_ && state_ != LinkState::kTrained) {
+    untrained_->fetch_add(1, std::memory_order_relaxed);
+  }
+}
+
+void Hssl::set_state(LinkState s) {
+  const bool was_trained = state_ == LinkState::kTrained;
+  const bool now_trained = s == LinkState::kTrained;
+  state_ = s;
+  if (untrained_ == nullptr || was_trained == now_trained) return;
+  if (now_trained) {
+    untrained_->fetch_sub(1, std::memory_order_acq_rel);
+  } else {
+    untrained_->fetch_add(1, std::memory_order_acq_rel);
+  }
+}
+
 void Hssl::begin_training() {
-  state_ = LinkState::kTraining;
+  set_state(LinkState::kTraining);
   engine_.schedule(cfg_.training_cycles, [this, epoch = epoch_] {
     if (epoch != epoch_) return;  // failed/retrained while training
-    state_ = LinkState::kTrained;
+    set_state(LinkState::kTrained);
     trained_at_ = engine_.now();
     busy_cycles_ = 0;
     ++times_trained_;
@@ -50,10 +69,10 @@ void Hssl::power_on() {
 void Hssl::fail() {
   QCDOC_AFFSAN_CHECK(this);
   if (state_ == LinkState::kDown || state_ == LinkState::kFailed) {
-    state_ = LinkState::kFailed;
+    set_state(LinkState::kFailed);
     return;
   }
-  state_ = LinkState::kFailed;
+  set_state(LinkState::kFailed);
   busy_ = false;
   queue_.clear();  // bits in flight never arrive
   ++epoch_;
@@ -77,18 +96,18 @@ void Hssl::set_bit_error_rate(double rate) {
   cfg_.bit_error_rate = rate;
 }
 
-u64 Hssl::transmit(int bits, DeliveryFn on_delivered) {
+u64 Hssl::transmit(const Frame& frame) {
   QCDOC_AFFSAN_CHECK(this);
   if (state_ == LinkState::kDown || state_ == LinkState::kFailed ||
-      bits <= 0) {
+      frame.bits <= 0) {
     ++rejected_frames_;
     if (stats_) stats_->add("hssl.rejected_frames");
     QCDOC_WARN << "hssl: transmit rejected (" << to_string(state_)
-               << " link, " << bits << " bits)";
+               << " link, " << frame.bits << " bits)";
     return kRejected;
   }
   const u64 id = next_frame_id_++;
-  queue_.push_back(Frame{id, bits, std::move(on_delivered)});
+  queue_.push_back(Queued{id, frame});
   if (state_ == LinkState::kTrained && !busy_) start_next();
   return id;
 }
@@ -96,7 +115,8 @@ u64 Hssl::transmit(int bits, DeliveryFn on_delivered) {
 void Hssl::start_next() {
   if (state_ != LinkState::kTrained || busy_ || queue_.empty()) return;
   busy_ = true;
-  Frame frame = std::move(queue_.front());
+  const u64 id = queue_.front().id;
+  const Frame frame = queue_.front().frame;
   queue_.pop_front();
 
   int flipped = 0;
@@ -124,17 +144,22 @@ void Hssl::start_next() {
   });
   // Delivery executes at the receiving node.  The serialization time plus
   // the wire delay is never shorter than a minimum frame plus the wire
-  // delay, which is exactly the parallel engine's lookahead.
-  delivery_.schedule(
-      serialize + cfg_.wire_delay_cycles,
-      [this, epoch = epoch_, frame = std::move(frame), flipped]() mutable {
-        // epoch_ moves only in host slices (fail/retrain), which fence every
-        // node event, so this receiver-side read can never race the sender;
-        // AFFSAN checks the mutators at runtime.
-        // qcdoc-lint: allow(cross-affinity-access) epoch_ is window-frozen
-        if (epoch != epoch_) return;
-        if (frame.on_delivered) frame.on_delivered(frame.id, flipped);
-      });
+  // delay, which is exactly the parallel engine's lookahead.  The frame
+  // rides in the event by value: the capture fits EventFn's inline buffer,
+  // so a frame costs no pool block and no lock.  (A per-wire ring of
+  // in-flight frames would not do: inside one parallel window the sender's
+  // worker writes it while the receiver's worker reads it.)
+  auto deliver = [this, epoch = epoch_, id, frame, flipped] {
+    // epoch_ moves only in host slices (fail/retrain), which fence every
+    // node event, so this receiver-side read can never race the sender;
+    // AFFSAN checks the mutators at runtime.
+    // qcdoc-lint: allow(cross-affinity-access) epoch_ is window-frozen
+    if (epoch != epoch_) return;
+    if (receiver_) receiver_(id, frame, flipped);
+  };
+  static_assert(sizeof(deliver) <= sim::EventFn::kInlineBytes,
+                "a frame delivery must store inline in its event");
+  delivery_.schedule(serialize + cfg_.wire_delay_cycles, std::move(deliver));
 }
 
 Cycle Hssl::idle_cycles() const {

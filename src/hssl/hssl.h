@@ -9,6 +9,10 @@
 // deterministic per-link stream so the SCU's parity/resend machinery is
 // exercised for real.
 //
+// Each frame travels by value inside its delivery event to the wire's one
+// receiver, set when the network is wired; the event fits EventFn's inline
+// buffer, so a frame costs neither a heap nor a pool block.
+//
 // Fault model: a link can die outright (`fail()` -- a broken cable or
 // daughterboard, paper Sec. 4's bring-up debugging) and be brought back by
 // host-commanded retraining (`retrain()`), the recovery action the
@@ -16,9 +20,9 @@
 // sentinel instead of queueing it silently.
 #pragma once
 
-#include <deque>
-#include <functional>
+#include <atomic>
 
+#include "common/ring.h"
 #include "common/rng.h"
 #include "common/types.h"
 #include "sim/engine.h"
@@ -43,16 +47,26 @@ enum class LinkState {
 
 const char* to_string(LinkState s);
 
-/// One unidirectional serial link.  Frames are opaque bit counts to the HSSL;
-/// framing (headers, parity) belongs to the SCU layer above.
+/// One frame as the wire carries it, by value from transmit() to the
+/// receiver.  The wire reads only `bits`; `payload`, `tag` and `seq` are the
+/// SCU's packet fields (word, type code, sequence), opaque at this layer.
+/// Framing (headers, parity) belongs to the SCU layer above, which encodes
+/// the wire image only when bits actually flip.
+struct Frame {
+  u64 payload = 0;
+  int bits = 0;
+  u8 tag = 0;
+  u8 seq = 0;
+};
+
+/// One unidirectional serial link.
 class Hssl {
  public:
-  /// `on_delivered(frame_id, flipped_bits)` fires when the last bit of a
-  /// frame (plus wire delay) reaches the receiver.  A pooled small-buffer
-  /// callable, not std::function: the SCU's per-frame capture (link + wire
-  /// frame + packet) overflows std::function's inline buffer and was
-  /// costing one heap allocation per transmitted frame.
-  using DeliveryFn = sim::SmallFn<void(u64 frame_id, int flipped_bits)>;
+  /// `receiver(frame_id, frame, flipped_bits)` runs at the far end when the
+  /// last bit of a frame (plus wire delay) arrives.  Set once, when the
+  /// network is wired; the frame itself travels inside the delivery event.
+  using Receiver =
+      sim::SmallFn<void(u64 frame_id, const Frame& frame, int flipped_bits)>;
 
   /// Returned by transmit() when the link refuses the frame (failed or
   /// unpowered).  Callers must treat it as a hard link fault.
@@ -85,15 +99,27 @@ class Hssl {
   /// sampling point).  Anything queued is dropped, as on real re-lock.
   void retrain();
 
-  /// Queue a frame of `bits` for transmission.  Returns its frame id, or
-  /// kRejected (with a stat and a warning) when the link cannot carry it.
-  /// Frames serialize strictly in order at 1 bit/cycle.
-  u64 transmit(int bits, DeliveryFn on_delivered);
+  /// The one receiver of this wire's frames (see Receiver).
+  void set_receiver(Receiver r) { receiver_ = std::move(r); }
+
+  /// Queue `frame` (of `frame.bits` bits) for transmission.  Returns its
+  /// frame id, or kRejected (with a stat and a warning) when the link
+  /// cannot carry it.  Frames serialize strictly in order at 1 bit/cycle.
+  u64 transmit(const Frame& frame);
 
   /// Called whenever the serializer becomes free (including right after
   /// training completes), so the SCU layer can make a fresh priority
   /// decision per frame instead of queueing ahead.
-  void set_ready_callback(std::function<void()> fn) { on_ready_ = std::move(fn); }
+  void set_ready_callback(sim::SmallFn<void()> fn) {
+    on_ready_ = std::move(fn);
+  }
+
+  /// Keep `counter` equal to the number of tracked wires not in kTrained:
+  /// counts this wire now if it is untrained, then follows every state
+  /// change.  The network uses one counter for all its wires, so
+  /// "all trained" is O(1).  Atomic because training completes inside
+  /// parallel windows, on the sending node's worker.
+  void track_untrained(std::atomic<long>* counter);
 
   [[nodiscard]] bool busy() const { return busy_; }
   /// Cycles this link spent sending idle bytes (trained but no payload).
@@ -109,6 +135,7 @@ class Hssl {
 
  private:
   void begin_training();
+  void set_state(LinkState s);
   void start_next();
 
   sim::EngineRef engine_;
@@ -132,13 +159,17 @@ class Hssl {
   /// (training completion, serializer free, deliveries) are void.
   u64 epoch_ = 0;
 
-  struct Frame {
-    u64 id;
-    int bits;
-    DeliveryFn on_delivered;
+  struct Queued {
+    u64 id = 0;
+    Frame frame;
   };
-  std::deque<Frame> queue_;
-  std::function<void()> on_ready_;
+  /// Frames waiting for the serializer.  The SCU hands over one frame at a
+  /// time, so this holds at most one in the machine; a Ring keeps its
+  /// capacity where a deque would churn nodes.
+  Ring<Queued> queue_;
+  Receiver receiver_;
+  sim::SmallFn<void()> on_ready_;
+  std::atomic<long>* untrained_ = nullptr;
 };
 
 }  // namespace qcdoc::hssl

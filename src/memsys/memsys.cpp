@@ -107,6 +107,14 @@ std::span<u64> NodeMemory::words(const Block& b) {
   return {chunk->data() + offset, b.words};
 }
 
+std::span<u64> NodeMemory::words_in_one_allocation(u64 word_addr,
+                                                    u64 count) {
+  u64 offset = 0;
+  auto* chunk = chunk_of(word_addr, &offset);
+  if (chunk == nullptr || count > chunk->size() - offset) return {};
+  return {chunk->data() + offset, count};
+}
+
 std::vector<NodeMemory::ChunkView> NodeMemory::chunks() const {
   std::vector<ChunkView> out;
   out.reserve(chunks_.size());

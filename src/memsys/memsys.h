@@ -89,6 +89,10 @@ class NodeMemory {
   std::span<double> doubles(const Block& b);
   std::span<const double> doubles(const Block& b) const;
   std::span<u64> words(const Block& b);
+  /// The `count` words from `word_addr` on, when they all lie in one
+  /// allocation; empty otherwise.  Writes through the span bypass
+  /// write_word's AFFSAN check, so a caller on the event path makes it.
+  std::span<u64> words_in_one_allocation(u64 word_addr, u64 count);
 
   /// One allocation as seen by the snapshot subsystem: base word address
   /// plus a read-only view of its storage (valid for this object's life).

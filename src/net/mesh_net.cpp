@@ -53,6 +53,7 @@ MeshNet::MeshNet(sim::Engine* engine, MeshConfig cfg)
           machine_rng.split(), stats_[static_cast<std::size_t>(i)].get());
       QCDOC_AFFSAN_OWN(wire.get(), sizeof(hssl::Hssl),
                        static_cast<sim::Affinity>(i), "hssl::Hssl");
+      wire->track_untrained(&untrained_wires_);
       scus_[static_cast<std::size_t>(i)]->attach_outgoing_wire(LinkIndex{l},
                                                                wire.get());
       wires_[static_cast<std::size_t>(i) * torus::kLinksPerNode +
@@ -115,13 +116,6 @@ void MeshNet::power_on() {
   if (powered_) return;
   powered_ = true;
   for (auto& w : wires_) w->power_on();
-}
-
-bool MeshNet::all_trained() const {
-  for (const auto& w : wires_) {
-    if (!w->trained()) return false;
-  }
-  return true;
 }
 
 std::vector<LinkRef> MeshNet::untrained_links() const {

@@ -2,6 +2,7 @@
 // bit-serial HSSL links over the 6-D torus (paper Figure 2, red network).
 #pragma once
 
+#include <atomic>
 #include <memory>
 #include <string>
 #include <vector>
@@ -65,8 +66,15 @@ class MeshNet {
 
   /// Power on every HSSL; links train and then exchange idle bytes.
   void power_on();
-  [[nodiscard]] bool all_trained() const;
-  /// Every outgoing wire that is not currently in the trained state.
+  /// O(1): reads the count the wires keep of themselves (untrained_count).
+  [[nodiscard]] bool all_trained() const { return untrained_count() == 0; }
+  /// Number of wires not in the trained state, maintained by every HSSL
+  /// state change (power-on, training done, fail, retrain).
+  long untrained_count() const {
+    return untrained_wires_.load(std::memory_order_acquire);
+  }
+  /// Every outgoing wire that is not currently in the trained state (a
+  /// scan, for reports).
   std::vector<LinkRef> untrained_links() const;
   /// Every outgoing link whose send side has declared a fault.
   std::vector<LinkRef> faulted_links() const;
@@ -127,6 +135,7 @@ class MeshNet {
   std::vector<std::unique_ptr<memsys::MemScrubber>> scrubbers_;
   std::vector<NodeCondition> conditions_;
   scu::ActiveCounter active_transfers_;
+  std::atomic<long> untrained_wires_{0};
   bool powered_ = false;
 };
 

@@ -1,8 +1,24 @@
 #include "scu/dma.h"
 
+#include <algorithm>
 #include <cassert>
+#include <stdexcept>
+#include <string>
+
+#include "sim/affinity_guard.h"
 
 namespace qcdoc::scu {
+
+namespace {
+
+void reject_empty(const DmaDescriptor& desc, const char* engine) {
+  if (desc.total_words() == 0) {
+    throw std::invalid_argument(std::string(engine) +
+                                "::start: descriptor of zero words");
+  }
+}
+
+}  // namespace
 
 SendDma::SendDma(sim::EngineRef engine, memsys::NodeMemory* memory,
                  SendSide* channel, DmaTiming timing,
@@ -11,21 +27,23 @@ SendDma::SendDma(sim::EngineRef engine, memsys::NodeMemory* memory,
       memory_(memory),
       channel_(channel),
       timing_(timing),
-      active_counter_(active_counter) {}
-
-void SendDma::start(const DmaDescriptor& desc,
-                    std::function<void()> on_complete) {
-  assert(!active_ && "send DMA already running on this link");
-  active_ = true;
-  if (active_counter_) active_counter_->increment();
-  ++transfers_;
-  on_complete_ = std::move(on_complete);
+      active_counter_(active_counter) {
   channel_->set_on_data_drained([this] {
     if (!active_) return;
     active_ = false;
     if (active_counter_) active_counter_->decrement(engine_.now());
     if (on_complete_) on_complete_();
   });
+}
+
+void SendDma::start(const DmaDescriptor& desc,
+                    sim::SmallFn<void()> on_complete) {
+  reject_empty(desc, "SendDma");
+  assert(!active_ && "send DMA already running on this link");
+  active_ = true;
+  if (active_counter_) active_counter_->increment();
+  ++transfers_;
+  on_complete_ = std::move(on_complete);
   // After the setup path (descriptor fetch, first memory access, SCU
   // injection) the DMA streams words faster than the 72-cycle serial link
   // can drain them, so the channel queue is filled in one go.
@@ -46,9 +64,22 @@ RecvDma::RecvDma(sim::EngineRef engine, memsys::NodeMemory* memory,
       active_counter_(active_counter) {}
 
 void RecvDma::start(const DmaDescriptor& desc,
-                    std::function<void()> on_complete) {
+                    sim::SmallFn<void()> on_complete) {
+  reject_empty(desc, "RecvDma");
   assert(!active_ && "receive DMA already running on this link");
   desc_ = desc;
+  // The lowest and highest word the strided pattern touches (the stride may
+  // be negative): when one allocation holds them all, landings index a span
+  // instead of looking the allocation up per word.
+  const i64 last_block =
+      static_cast<i64>(desc.num_blocks - 1) * desc.stride_words;
+  const u64 lo = static_cast<u64>(static_cast<i64>(desc.base_word) +
+                                  std::min<i64>(0, last_block));
+  const u64 hi = static_cast<u64>(static_cast<i64>(desc.base_word) +
+                                  std::max<i64>(0, last_block)) +
+                 desc.block_words;
+  dest_ = memory_->words_in_one_allocation(lo, hi - lo);
+  dest_base_ = lo;
   active_ = true;
   if (active_counter_) active_counter_->increment();
   next_index_ = 0;
@@ -69,7 +100,12 @@ void RecvDma::on_word(u64 word) {
     channel_->clear_data_sink();
   }
   engine_.schedule(timing_.recv_landing_cycles, [this, addr, word, index, last] {
-    memory_->write_word(addr, word);
+    if (dest_.empty()) {
+      memory_->write_word(addr, word);
+    } else {
+      QCDOC_AFFSAN_CHECK(memory_);  // what write_word would check
+      dest_[addr - dest_base_] = word;
+    }
     ++landed_;
     last_landed_at_ = engine_.now();
     if (index == 0) first_landed_at_ = engine_.now();

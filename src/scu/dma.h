@@ -10,12 +10,13 @@
 // (~66 cycles), with no software in the loop.
 #pragma once
 
-#include <functional>
+#include <span>
 
 #include "common/types.h"
 #include "memsys/memsys.h"
 #include "scu/link.h"
 #include "sim/engine.h"
+#include "sim/event_fn.h"
 
 namespace qcdoc::scu {
 
@@ -58,8 +59,10 @@ class SendDma {
           DmaTiming timing, ActiveCounter* active_counter = nullptr);
 
   /// Begin a transfer.  Completion (all words acknowledged by the remote
-  /// SCU) is reported through `on_complete`.
-  void start(const DmaDescriptor& desc, std::function<void()> on_complete = {});
+  /// SCU) is reported through `on_complete`.  Throws std::invalid_argument,
+  /// changing nothing, on a descriptor of zero words: no word would ever
+  /// drain, so the transfer could never complete.
+  void start(const DmaDescriptor& desc, sim::SmallFn<void()> on_complete = {});
 
   [[nodiscard]] bool active() const { return active_; }
   u64 transfers_started() const { return transfers_; }
@@ -72,7 +75,7 @@ class SendDma {
   bool active_ = false;
   u64 transfers_ = 0;
   ActiveCounter* active_counter_ = nullptr;
-  std::function<void()> on_complete_;
+  sim::SmallFn<void()> on_complete_;
 };
 
 /// Receive engine for one link: lands arriving words into local memory.
@@ -82,8 +85,9 @@ class RecvDma {
           DmaTiming timing, ActiveCounter* active_counter = nullptr);
 
   /// Program the destination.  Until this is called the link sits in idle
-  /// receive; calling it drains any held words immediately.
-  void start(const DmaDescriptor& desc, std::function<void()> on_complete = {});
+  /// receive; calling it drains any held words immediately.  Throws
+  /// std::invalid_argument, changing nothing, on a descriptor of zero words.
+  void start(const DmaDescriptor& desc, sim::SmallFn<void()> on_complete = {});
 
   [[nodiscard]] bool active() const { return active_; }
   u64 words_landed() const { return landed_; }
@@ -101,13 +105,18 @@ class RecvDma {
   DmaTiming timing_;
 
   DmaDescriptor desc_;
+  /// The destination, resolved once per transfer: every word the
+  /// descriptor addresses, from `dest_base_` on, when they all lie in one
+  /// allocation (empty otherwise; landings then go through write_word).
+  std::span<u64> dest_;
+  u64 dest_base_ = 0;
   bool active_ = false;
   u64 next_index_ = 0;
   u64 landed_ = 0;
   Cycle first_landed_at_ = 0;
   Cycle last_landed_at_ = 0;
   ActiveCounter* active_counter_ = nullptr;
-  std::function<void()> on_complete_;
+  sim::SmallFn<void()> on_complete_;
 };
 
 }  // namespace qcdoc::scu

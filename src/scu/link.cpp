@@ -1,5 +1,6 @@
 #include "scu/link.h"
 
+#include <algorithm>
 #include <cassert>
 
 namespace qcdoc::scu {
@@ -10,7 +11,11 @@ namespace qcdoc::scu {
 
 SendSide::SendSide(sim::EngineRef engine, hssl::Hssl* wire, LinkParams params,
                    sim::StatSet* stats)
-    : engine_(engine), wire_(wire), params_(params), stats_(stats) {
+    : engine_(engine),
+      wire_(wire),
+      params_(params),
+      stats_(stats),
+      unacked_(static_cast<std::size_t>(std::max(params.ack_window, 1))) {
   if (stats_) {
     stat_data_sent_ = stats_->cell("scu.data_sent");
     stat_acks_ = stats_->cell("scu.acks");
@@ -21,28 +26,37 @@ SendSide::SendSide(sim::EngineRef engine, hssl::Hssl* wire, LinkParams params,
   });
 }
 
+void SendSide::set_remote(RecvSide* remote) {
+  assert(remote != nullptr);
+  wire_->set_receiver([remote](u64 /*frame_id*/, const hssl::Frame& f,
+                               int flipped) {
+    remote->on_frame(Packet{static_cast<PacketType>(f.tag), f.payload, f.seq},
+                     flipped);
+  });
+}
+
 void SendSide::enqueue_data(u64 word) {
   data_queue_.push_back(word);
   checksum_ += word;
   ++words_accepted_;
-  pump();
+  kick();
 }
 
 void SendSide::enqueue_supervisor(u64 word) {
   sup_queue_.push_back(word);
-  pump();
+  kick();
 }
 
 void SendSide::enqueue_partition_irq(u8 mask) {
   pirq_queue_.push_back(mask);
-  pump();
+  kick();
 }
 
 void SendSide::enqueue_control(PacketType type, u8 seq) {
   assert(type == PacketType::kAck || type == PacketType::kNack ||
          type == PacketType::kSupAck);
   control_queue_.push_back(Packet{type, seq, static_cast<u8>(seq & 0x3)});
-  pump();
+  kick();
 }
 
 void SendSide::pump() {
@@ -87,7 +101,7 @@ void SendSide::pump() {
                         if (sup_outstanding_ && sup_sent_at_ == sent_at) {
                           sup_needs_send_ = true;
                           if (stats_) stats_->add("scu.sup_resends");
-                          pump();
+                          kick();
                         }
                       });
     return;
@@ -126,12 +140,12 @@ void SendSide::pump() {
 }
 
 void SendSide::transmit(const Packet& p) {
+  // The receiver takes a clean frame as sent, so every packet must already
+  // be what decode(encode(p)) yields: a 2-bit seq, a byte for short types.
+  assert(p.seq <= 0x3 && (has_word_payload(p.type) || p.payload <= 0xff));
   frame_in_flight_ = true;
-  WireFrame frame = encode(p);
-  const u64 id = wire_->transmit(
-      frame.bits, [this, frame, p](u64 /*frame_id*/, int flipped) {
-        if (remote_) remote_->on_frame(frame, flipped, p);
-      });
+  const u64 id = wire_->transmit(hssl::Frame{
+      p.payload, frame_bits(p.type), static_cast<u8>(p.type), p.seq});
   if (id == hssl::Hssl::kRejected) {
     // The wire is dead: there will be no serializer-free callback.  Escalate
     // immediately instead of queueing into the void.
@@ -162,7 +176,7 @@ void SendSide::on_timeout() {
     resends_ += unacked_.size();
     if (stats_) stats_->add("scu.timeout_resends", unacked_.size());
     oldest_unacked_since_ = engine_.now();
-    pump();
+    kick();
   }
   arm_timeout();
 }
@@ -215,7 +229,7 @@ void SendSide::on_ack(u8 expected) {
     return;
   }
   pop_acked_below(expected);
-  pump();
+  kick();
 }
 
 void SendSide::on_nack(u8 expected) {
@@ -230,13 +244,13 @@ void SendSide::on_nack(u8 expected) {
     resends_ += unacked_.size();
     if (stats_) stats_->add("scu.nack_resends", unacked_.size());
   }
-  pump();
+  kick();
 }
 
 void SendSide::on_sup_ack(u8 seq) {
   if (!sup_outstanding_ || seq != sup_seq_) return;
   sup_outstanding_ = false;
-  pump();
+  kick();
 }
 
 // ---------------------------------------------------------------------------
@@ -248,36 +262,42 @@ RecvSide::RecvSide(sim::EngineRef engine, LinkParams params, sim::StatSet* stats
     : engine_(engine),
       params_(params),
       stats_(stats),
-      corrupt_rng_(corruption_stream) {
+      corrupt_rng_(corruption_stream),
+      held_(static_cast<std::size_t>(std::max(params.idle_hold_words, 1))) {
   if (stats_) stat_data_received_ = stats_->cell("scu.data_received");
 }
 
-void RecvSide::on_frame(WireFrame frame, int flipped, const Packet& sent) {
-  if (flipped > 0) frame.corrupt(flipped, corrupt_rng_);
-  const auto pkt = decode(frame);
-  if (!pkt) {
-    ++detected_errors_;
-    if (stats_) stats_->add("scu.detected_errors");
-    // A corrupted long frame was (most likely) a data word: request the
-    // automatic hardware resend.  Short frames are control/interrupt
-    // traffic, recovered by timeouts / window re-floods instead.
-    if (frame.bits == frame_bits(PacketType::kData) && reverse_) {
-      reverse_->enqueue_control(PacketType::kNack, expected_seq_);
+void RecvSide::on_frame(const Packet& sent, int flipped) {
+  // A clean frame decodes to exactly the packet sent (the codec round-trips
+  // every packet a SendSide emits), so only a corrupted one pays for it.
+  Packet arrived = sent;
+  if (flipped > 0) {
+    WireFrame frame = encode(sent);
+    frame.corrupt(flipped, corrupt_rng_);
+    const auto pkt = decode(frame);
+    if (!pkt) {
+      ++detected_errors_;
+      if (stats_) stats_->add("scu.detected_errors");
+      // A corrupted long frame was (most likely) a data word: request the
+      // automatic hardware resend.  Short frames are control/interrupt
+      // traffic, recovered by timeouts / window re-floods instead.
+      if (frame.bits == frame_bits(PacketType::kData) && reverse_) {
+        reverse_->enqueue_control(PacketType::kNack, expected_seq_);
+      }
+      return;
     }
-    return;
+    if (pkt->type != sent.type || pkt->payload != sent.payload ||
+        pkt->seq != sent.seq) {
+      // Corruption slipped past the parity/type checks.  Only the
+      // end-to-end link checksums can expose this, as on the hardware.
+      ++undetected_errors_;
+      if (stats_) stats_->add("scu.undetected_errors");
+    }
+    arrived = *pkt;
   }
-  if (flipped > 0 &&
-      (pkt->type != sent.type || pkt->payload != sent.payload ||
-       pkt->seq != sent.seq)) {
-    // Corruption slipped past the parity/type checks.  Only the end-to-end
-    // link checksums can expose this, as on the hardware.
-    ++undetected_errors_;
-    if (stats_) stats_->add("scu.undetected_errors");
-  }
-
-  switch (pkt->type) {
+  switch (arrived.type) {
     case PacketType::kData:
-      if (pkt->seq != expected_seq_) {
+      if (arrived.seq != expected_seq_) {
         // Stale duplicate from a go-back or timeout resend.  Re-send the
         // cumulative acknowledgement so a lost ACK cannot stall the link --
         // unless we are in idle receive, where withholding acknowledgement
@@ -288,29 +308,31 @@ void RecvSide::on_frame(WireFrame frame, int flipped, const Packet& sent) {
         }
         return;
       }
-      accept_data(pkt->payload, pkt->seq);
+      accept_data(arrived.payload, arrived.seq);
       return;
     case PacketType::kSupervisor:
-      if (pkt->seq == sup_expected_seq_) {
+      if (arrived.seq == sup_expected_seq_) {
         sup_expected_seq_ = static_cast<u8>((sup_expected_seq_ + 1) & 0x3);
         if (stats_) stats_->add("scu.sup_received");
-        if (supervisor_handler_) supervisor_handler_(pkt->payload);
+        if (supervisor_handler_) supervisor_handler_(arrived.payload);
       }
       // Always (re-)acknowledge: a duplicate means our SupAck was lost.
-      if (reverse_) reverse_->enqueue_control(PacketType::kSupAck, pkt->seq);
+      if (reverse_) reverse_->enqueue_control(PacketType::kSupAck, arrived.seq);
       return;
     case PacketType::kPartitionIrq:
       if (stats_) stats_->add("scu.pirq_received");
-      if (pirq_handler_) pirq_handler_(static_cast<u8>(pkt->payload & 0xff));
+      if (pirq_handler_) pirq_handler_(static_cast<u8>(arrived.payload & 0xff));
       return;
     case PacketType::kAck:
-      if (reverse_) reverse_->on_ack(static_cast<u8>(pkt->payload & 0x3));
+      if (reverse_) reverse_->on_ack(static_cast<u8>(arrived.payload & 0x3));
       return;
     case PacketType::kNack:
-      if (reverse_) reverse_->on_nack(static_cast<u8>(pkt->payload & 0x3));
+      if (reverse_) reverse_->on_nack(static_cast<u8>(arrived.payload & 0x3));
       return;
     case PacketType::kSupAck:
-      if (reverse_) reverse_->on_sup_ack(static_cast<u8>(pkt->payload & 0x3));
+      if (reverse_) {
+        reverse_->on_sup_ack(static_cast<u8>(arrived.payload & 0x3));
+      }
       return;
   }
 }
@@ -351,7 +373,7 @@ void RecvSide::accept_data(u64 word, u8 seq) {
   // else: drop; the sender's timeout will retry until we have space.
 }
 
-void RecvSide::set_data_sink(std::function<void(u64)> sink) {
+void RecvSide::set_data_sink(sim::SmallFn<void(u64)> sink) {
   data_sink_ = std::move(sink);
   while (!held_.empty() && data_sink_) {
     const Held h = held_.front();
@@ -369,6 +391,6 @@ void RecvSide::set_data_sink(std::function<void(u64)> sink) {
   }
 }
 
-void RecvSide::clear_data_sink() { data_sink_ = nullptr; }
+void RecvSide::clear_data_sink() { data_sink_.reset(); }
 
 }  // namespace qcdoc::scu

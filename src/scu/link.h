@@ -20,14 +20,13 @@
 // final confirmation that no erroneous data was exchanged.
 #pragma once
 
-#include <deque>
-#include <functional>
-
+#include "common/ring.h"
 #include "common/rng.h"
 #include "common/types.h"
 #include "hssl/hssl.h"
 #include "scu/packet.h"
 #include "sim/engine.h"
+#include "sim/event_fn.h"
 #include "sim/stats.h"
 
 namespace qcdoc::scu {
@@ -51,8 +50,9 @@ class SendSide {
   SendSide(sim::EngineRef engine, hssl::Hssl* wire, LinkParams params,
            sim::StatSet* stats);
 
-  /// The RecvSide on the *remote* node that this wire feeds.
-  void set_remote(RecvSide* remote) { remote_ = remote; }
+  /// The RecvSide on the *remote* node that this wire feeds: becomes the
+  /// wire's one receiver.
+  void set_remote(RecvSide* remote);
 
   /// Queue normal-transfer data words (from a send-DMA engine).
   void enqueue_data(u64 word);
@@ -81,13 +81,13 @@ class SendSide {
   }
 
   /// Called whenever data_drained() becomes true.
-  void set_on_data_drained(std::function<void()> fn) {
+  void set_on_data_drained(sim::SmallFn<void()> fn) {
     on_data_drained_ = std::move(fn);
   }
 
   /// Called once when this side declares the link faulted (the model of the
   /// SCU raising a link-fault supervisor interrupt at its CPU).
-  void set_on_link_fault(std::function<void()> fn) {
+  void set_on_link_fault(sim::SmallFn<void()> fn) {
     on_link_fault_ = std::move(fn);
   }
   /// The send side gave up: either the wire rejected a frame outright or
@@ -118,6 +118,13 @@ class SendSide {
   }
 
  private:
+  /// Make the per-frame priority decision if the wire can take a frame.
+  /// Inline, because most triggers (a queued word, an ACK) arrive while a
+  /// frame is still serializing, and the serializer-free callback decides
+  /// for them.
+  void kick() {
+    if (!frame_in_flight_) pump();
+  }
   void pump();
   void transmit(const Packet& p);
   void arm_timeout();
@@ -133,15 +140,15 @@ class SendSide {
   // string-keyed map lookup on every transmitted/acknowledged word.
   u64* stat_data_sent_ = nullptr;
   u64* stat_acks_ = nullptr;
-  RecvSide* remote_ = nullptr;
 
   // Normal data stream (go-back-N with a 2-bit sequence, window 3).
   struct Pending {
     u64 word;
     u8 seq;
   };
-  std::deque<u64> data_queue_;     // not yet transmitted
-  std::deque<Pending> unacked_;    // transmitted, awaiting ACK (<= window)
+  Ring<u64> data_queue_;         // not yet transmitted
+  Ring<Pending> unacked_;        // transmitted, awaiting ACK: a fixed ring
+                                 // of ack_window entries
   std::size_t send_cursor_ = 0;    // next unacked_ index to (re)transmit
   u8 next_seq_ = 0;
   u64 checksum_ = 0;
@@ -152,10 +159,10 @@ class SendSide {
   int consecutive_timeouts_ = 0;
   bool faulted_ = false;
   int ack_drops_remaining_ = 0;
-  std::function<void()> on_link_fault_;
+  sim::SmallFn<void()> on_link_fault_;
 
   // Supervisor stream (one outstanding, own 2-bit sequence).
-  std::deque<u64> sup_queue_;
+  Ring<u64> sup_queue_;
   bool sup_outstanding_ = false;
   bool sup_needs_send_ = false;
   u64 sup_word_ = 0;
@@ -164,11 +171,11 @@ class SendSide {
   Cycle sup_sent_at_ = 0;
 
   // Control + partition-interrupt queues.
-  std::deque<Packet> control_queue_;
-  std::deque<u8> pirq_queue_;
+  Ring<Packet> control_queue_;
+  Ring<u8> pirq_queue_;
 
   bool frame_in_flight_ = false;
-  std::function<void()> on_data_drained_;
+  sim::SmallFn<void()> on_data_drained_;
 };
 
 /// Receive half of a directed link, owned by the receiving node's SCU.
@@ -183,23 +190,25 @@ class RecvSide {
   void set_reverse(SendSide* reverse) { reverse_ = reverse; }
 
   /// Entry point from the wire: `sent` is the packet the sender emitted,
-  /// `frame` its wire image, `flipped` the number of bits the link
-  /// corrupted (applied to the image here, at the sampling point).
-  void on_frame(WireFrame frame, int flipped, const Packet& sent);
+  /// `flipped` the number of bits the link corrupted.  A clean frame is
+  /// taken as sent; a corrupted one is encoded to its wire image, flipped
+  /// here at the sampling point and decoded, so the parity/type checks
+  /// decide what arrived.
+  void on_frame(const Packet& sent, int flipped);
 
   /// Consumer interface (the receive-DMA engine).  `sink(word)` is called
   /// for every accepted data word in order; when no sink is installed the
   /// link is in idle receive.
-  void set_data_sink(std::function<void(u64)> sink);
+  void set_data_sink(sim::SmallFn<void(u64)> sink);
   void clear_data_sink();
   [[nodiscard]] bool in_idle_receive() const { return !data_sink_; }
 
   /// Supervisor packets raise an interrupt at the receiving CPU.
-  void set_supervisor_handler(std::function<void(u64)> fn) {
+  void set_supervisor_handler(sim::SmallFn<void(u64)> fn) {
     supervisor_handler_ = std::move(fn);
   }
   /// Partition-interrupt packets go to the flood controller.
-  void set_pirq_handler(std::function<void(u8)> fn) {
+  void set_pirq_handler(sim::SmallFn<void(u8)> fn) {
     pirq_handler_ = std::move(fn);
   }
 
@@ -251,10 +260,10 @@ class RecvSide {
     u64 word;
     u8 seq;
   };
-  std::deque<Held> held_;  // idle-receive hold registers
-  std::function<void(u64)> data_sink_;
-  std::function<void(u64)> supervisor_handler_;
-  std::function<void(u8)> pirq_handler_;
+  Ring<Held> held_;  // idle-receive hold registers
+  sim::SmallFn<void(u64)> data_sink_;
+  sim::SmallFn<void(u64)> supervisor_handler_;
+  sim::SmallFn<void(u8)> pirq_handler_;
 };
 
 }  // namespace qcdoc::scu

@@ -14,13 +14,13 @@
 // shares wires (and priorities) with data traffic.
 #pragma once
 
-#include <functional>
 #include <map>
 #include <vector>
 
 #include "common/types.h"
 #include "scu/scu.h"
 #include "sim/engine.h"
+#include "sim/event_fn.h"
 #include "torus/coords.h"
 
 namespace qcdoc::scu {
@@ -45,7 +45,7 @@ class PirqDomain {
 
   /// Handler invoked per node at the sampling point with the OR of all
   /// interrupts seen in the window.
-  void set_interrupt_handler(std::function<void(NodeId, u8)> fn) {
+  void set_interrupt_handler(sim::SmallFn<void(NodeId, u8)> fn) {
     handler_ = std::move(fn);
   }
 
@@ -70,7 +70,7 @@ class PirqDomain {
   sim::EngineRef engine_;
   Cycle window_cycles_;
   std::map<u32, NodeState> nodes_;
-  std::function<void(NodeId, u8)> handler_;
+  sim::SmallFn<void(NodeId, u8)> handler_;
   bool clock_running_ = false;
   u64 windows_run_ = 0;
 };

@@ -101,12 +101,11 @@ void Scu::send_supervisor(LinkIndex l, u64 word) {
   send_side(l).enqueue_supervisor(word);
 }
 
-void Scu::set_supervisor_handler(
-    std::function<void(LinkIndex, u64)> fn) {
+void Scu::set_supervisor_handler(sim::SmallFn<void(LinkIndex, u64)> fn) {
   supervisor_handler_ = std::move(fn);
 }
 
-void Scu::set_link_fault_handler(std::function<void(LinkIndex)> fn) {
+void Scu::set_link_fault_handler(sim::SmallFn<void(LinkIndex)> fn) {
   link_fault_handler_ = std::move(fn);
 }
 

@@ -10,7 +10,6 @@
 #pragma once
 
 #include <array>
-#include <functional>
 #include <memory>
 #include <optional>
 
@@ -18,6 +17,7 @@
 #include "memsys/memsys.h"
 #include "scu/dma.h"
 #include "scu/link.h"
+#include "sim/event_fn.h"
 #include "torus/coords.h"
 
 namespace qcdoc::scu {
@@ -64,12 +64,12 @@ class Scu {
   void send_supervisor(torus::LinkIndex l, u64 word);
   /// Handler invoked (with the arrival link and word) when a supervisor
   /// packet lands here.
-  void set_supervisor_handler(std::function<void(torus::LinkIndex, u64)> fn);
+  void set_supervisor_handler(sim::SmallFn<void(torus::LinkIndex, u64)> fn);
 
   // --- Link-fault escalation ----------------------------------------------
   /// Handler invoked when a send side gives up on its link (the model of
   /// the link-fault supervisor interrupt raised at this node's CPU).
-  void set_link_fault_handler(std::function<void(torus::LinkIndex)> fn);
+  void set_link_fault_handler(sim::SmallFn<void(torus::LinkIndex)> fn);
   /// Bit i set: our outgoing link i has been declared faulted.
   u32 faulted_links() const { return faulted_links_; }
   /// Clear the faulted flag for link `l` after a successful wire retrain,
@@ -101,8 +101,8 @@ class Scu {
   std::array<std::unique_ptr<RecvDma>, torus::kLinksPerNode> recv_dma_;
   std::array<std::optional<DmaDescriptor>, torus::kLinksPerNode> stored_send_;
   std::array<std::optional<DmaDescriptor>, torus::kLinksPerNode> stored_recv_;
-  std::function<void(torus::LinkIndex, u64)> supervisor_handler_;
-  std::function<void(torus::LinkIndex)> link_fault_handler_;
+  sim::SmallFn<void(torus::LinkIndex, u64)> supervisor_handler_;
+  sim::SmallFn<void(torus::LinkIndex)> link_fault_handler_;
   u32 faulted_links_ = 0;
 };
 

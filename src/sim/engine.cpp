@@ -392,9 +392,12 @@ void Engine::run_window_parallel(Cycle end) {
     }
   }
   Cycle latest = now_;
-  for (WorkerSlot& slot : slots_) {
-    cross_shard_events_ += slot.outbox.size();
+  for (std::size_t w = 0; w < slots_.size(); ++w) {
+    WorkerSlot& slot = slots_[w];
     for (auto& [dest, ev] : slot.outbox) {
+      // Every cross-rank schedule waits in the outbox; only those bound for
+      // a rank another shard owns actually cross shards.
+      if (rank_owner_[dest] != w) ++cross_shard_events_;
       const Cycle t = ev.time;
       if (ranks_[dest].q.push(std::move(ev))) shard_push_entry(dest, t);
     }

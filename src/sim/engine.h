@@ -178,7 +178,9 @@ struct EngineReport {
   u64 windows_parallel = 0;          ///< windows run with workers engaged
   u64 windows_serial = 0;            ///< single-shard slices, coordinator only
   u64 windows_host = 0;              ///< host-event slices at window seams
-  u64 cross_shard_events = 0;        ///< events exchanged at window barriers
+  u64 cross_shard_events = 0;        ///< events scheduled inside parallel
+                                     ///< windows onto a rank another shard
+                                     ///< owns (merged at the barrier)
   u64 parallel_window_events = 0;    ///< events executed inside parallel windows
   u64 peak_pending_events = 0;       ///< high-water pending count (sampled
                                      ///< after every slice, step and

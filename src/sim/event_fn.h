@@ -6,12 +6,15 @@
 // overflows libstdc++'s 16-byte inline buffer and costs one heap
 // allocation *per event* -- tens of millions of them in a 4^6 CG solve.
 // SmallFn is a move-only replacement with a 48-byte inline buffer sized so
-// that every action in the model stores inline.  Oversized callables fall
-// back to a recycling freelist of fixed-size blocks, so even they stop
-// touching the heap once the pool is warm.  EventFn, the engine's action
-// type, is SmallFn<void()>; the model's per-frame callbacks that fire
-// millions of times per solve (e.g. hssl::Hssl::DeliveryFn) use other
-// signatures of the same template and share the pool.
+// that every action in the model stores inline -- the per-frame HSSL
+// delivery (wire, epoch, frame id, the frame by value, flip count) included,
+// which hssl.cpp static_asserts.  Oversized callables fall back to a
+// recycling freelist of fixed-size blocks behind one mutex, so even they
+// stop touching the heap once the pool is warm, but they pay a lock per
+// construction and per destruction.  EventFn, the engine's action type, is
+// SmallFn<void()>; the link path's callbacks (a wire's receiver and
+// ready callback, the SCU's data sink and handlers, DMA completions) are
+// other signatures of the same template.
 //
 // The allocation counters are process-global and monotonic; the engine
 // snapshots them at construction and reports deltas, and the perf benches
@@ -61,8 +64,8 @@ class SmallFn;
 /// and a pooled heap fallback.  Drop-in for the scheduling subset of
 /// std::function: implicit construction from any invocable, operator(),
 /// bool conversion.  Copying is deliberately absent -- an event action is
-/// scheduled once and executed once, a delivery callback registered once
-/// and fired once.
+/// scheduled once and executed once, a link callback registered once and
+/// called where it lives.
 template <typename R, typename... Args>
 class SmallFn<R(Args...)> {
  public:

@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <deque>
 #include <set>
 #include <vector>
 
 #include "common/log.h"
+#include "common/ring.h"
 #include "common/rng.h"
 
 namespace qcdoc {
@@ -119,6 +121,47 @@ TEST(Log, SinkCapturesMessagesAtOrAboveLevel) {
   Log::set_sink(nullptr);
   ASSERT_EQ(captured.size(), 1u);
   EXPECT_EQ(captured[0], "shown 42");
+}
+
+TEST(Ring, MatchesDequeAcrossWrapAndGrowth) {
+  // A random push/pop mix against std::deque, the container Ring replaces
+  // on the link path: same FIFO order and indexing through every wrap of
+  // the head and every doubling.
+  Ring<u64> ring;
+  std::deque<u64> ref;
+  Rng rng(7);
+  for (int i = 0; i < 20000; ++i) {
+    if (ref.empty() || rng.next_below(3) != 0) {
+      const u64 v = rng.next_u64();
+      ring.push_back(v);
+      ref.push_back(v);
+    } else {
+      ASSERT_EQ(ring.front(), ref.front()) << i;
+      ring.pop_front();
+      ref.pop_front();
+    }
+    ASSERT_EQ(ring.size(), ref.size());
+    if (!ref.empty()) {
+      const std::size_t k = rng.next_below(ref.size());
+      ASSERT_EQ(ring[k], ref[k]) << i;
+    }
+  }
+}
+
+TEST(Ring, KeepsItsCapacity) {
+  Ring<int> bounded(3);  // rounded up to 4
+  EXPECT_EQ(bounded.capacity(), 4u);
+  for (int round = 0; round < 100; ++round) {
+    for (int i = 0; i < 3; ++i) bounded.push_back(round + i);
+    EXPECT_EQ(bounded.front(), round);
+    while (!bounded.empty()) bounded.pop_front();
+  }
+  EXPECT_EQ(bounded.capacity(), 4u);
+  for (int i = 0; i < 9; ++i) bounded.push_back(i);
+  EXPECT_EQ(bounded.capacity(), 16u);
+  bounded.clear();
+  EXPECT_TRUE(bounded.empty());
+  EXPECT_EQ(bounded.capacity(), 16u);
 }
 
 }  // namespace

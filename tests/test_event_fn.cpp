@@ -1,16 +1,21 @@
 // EventFn unit tests plus the counting-allocator gate: this binary replaces
 // the global operator new/delete with counting versions, warms the engine
-// at 1, 2 and 4 threads on a synthetic cross-node workload, and then asserts that re-running the
-// identical workload performs ZERO heap allocations -- the per-event
-// std::function allocation the event-path overhaul removed must not creep
-// back in anywhere on the hot path (actions, queue buckets, outboxes,
-// shard heaps).
+// at 1, 2 and 4 threads on two workloads -- a synthetic cross-node relay and
+// DMA transfers over every link of a small mesh -- and then asserts that
+// re-running the identical workload performs ZERO heap allocations and
+// touches the action pool not at all.  Neither the per-event std::function
+// allocation nor a per-frame pool block, deque node or callback may creep
+// back in anywhere on the hot path (actions, queue buckets, outboxes, shard
+// heaps, the SCU/HSSL link path).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <vector>
 
+#include "net/mesh_net.h"
+#include "scu/packet.h"
 #include "sim/engine.h"
 #include "sim/event_fn.h"
 
@@ -212,6 +217,105 @@ TEST(AllocGate, ParallelEngineSteadyStateAllocatesNothing) {
 TEST(AllocGate, ParallelEngineFourThreadsSteadyStateAllocatesNothing) {
   Engine eng(gate_config(4));
   expect_steady_state_alloc_free(eng, "4 threads");
+}
+
+// --- Link path: no heap traffic per frame ----------------------------------
+
+/// A 2x2x2x2x1x1 mesh whose every directed link carries one DMA transfer
+/// per round: data frames, ACK frames and landings on all 16 x 12 links,
+/// the per-frame SCU/HSSL path that dominates a lattice solve.
+class LinkRig {
+ public:
+  static constexpr u32 kWords = 8;
+
+  explicit LinkRig(int threads)
+      : engine_({.threads = threads,
+                 .lookahead = static_cast<Cycle>(scu::min_frame_bits()) +
+                              net::MeshConfig{}.hssl.wire_delay_cycles,
+                 .num_nodes = mesh_config().shape.volume()}),
+        mesh_(&engine_, mesh_config()) {
+    mesh_.power_on();
+    engine_.run_until_idle();
+    const int nodes = mesh_.num_nodes();
+    for (int n = 0; n < nodes; ++n) {
+      const NodeId node{static_cast<u32>(n)};
+      for (int l = 0; l < torus::kLinksPerNode; ++l) {
+        const NodeId to = mesh_.topology().neighbor(node, torus::LinkIndex{l});
+        src_.push_back(mesh_.memory(node).alloc(kWords, "src"));
+        dst_.push_back(mesh_.memory(to).alloc(kWords, "dst"));
+      }
+    }
+  }
+
+  /// One transfer on every link, run to quiescence and past its resend
+  /// timeouts.  Each round starts on a multiple of 64 cycles, so every round
+  /// fills the same calendar-queue buckets.
+  void round() {
+    std::size_t i = 0;
+    for (int n = 0; n < mesh_.num_nodes(); ++n) {
+      const NodeId node{static_cast<u32>(n)};
+      for (int l = 0; l < torus::kLinksPerNode; ++l, ++i) {
+        const torus::LinkIndex link{l};
+        const NodeId to = mesh_.topology().neighbor(node, link);
+        mesh_.scu(to).recv_dma(torus::facing_link(link))
+            .start(scu::DmaDescriptor{dst_[i].word_addr, kWords, 1, 0});
+        mesh_.scu(node).send_dma(link).start(
+            scu::DmaDescriptor{src_[i].word_addr, kWords, 1, 0});
+      }
+    }
+    ASSERT_TRUE(mesh_.drain());
+    engine_.run_until_idle();
+    engine_.advance_to((engine_.now() / 64 + 1) * 64);
+  }
+
+  u64 frames() const { return mesh_.total_stat("hssl.frames"); }
+
+ private:
+  static net::MeshConfig mesh_config() {
+    net::MeshConfig cfg;
+    cfg.shape.extent = {2, 2, 2, 2, 1, 1};
+    cfg.hssl.training_cycles = 32;
+    return cfg;
+  }
+
+  Engine engine_;
+  net::MeshNet mesh_;
+  std::vector<memsys::Block> src_;
+  std::vector<memsys::Block> dst_;
+};
+
+void expect_link_path_alloc_free(int threads) {
+  LinkRig rig(threads);
+  for (int round = 0; round < 3; ++round) rig.round();
+  const u64 frames_before = rig.frames();
+  const u64 before = heap_allocs();
+  const detail::ActionAllocStats pool_before = detail::action_alloc_stats();
+  rig.round();
+  rig.round();
+  const u64 allocs = heap_allocs() - before;
+  const detail::ActionAllocStats pool_after = detail::action_alloc_stats();
+  // Two frames per word (data + ACK) on 192 links, twice.
+  EXPECT_GE(rig.frames() - frames_before, 2u * 2u * 192u * LinkRig::kWords);
+  EXPECT_EQ(allocs, 0u) << threads
+                        << " threads: the link path must not allocate";
+  EXPECT_EQ(pool_after.pool_blocks - pool_before.pool_blocks, 0u)
+      << threads << " threads";
+  EXPECT_EQ(pool_after.pool_reuses - pool_before.pool_reuses, 0u)
+      << threads << " threads: a frame must not take an action-pool block";
+  EXPECT_EQ(pool_after.oversize_allocs - pool_before.oversize_allocs, 0u)
+      << threads << " threads";
+}
+
+TEST(AllocGate, LinkPathOneThreadAllocatesNothingPerFrame) {
+  expect_link_path_alloc_free(1);
+}
+
+TEST(AllocGate, LinkPathTwoThreadsAllocatesNothingPerFrame) {
+  expect_link_path_alloc_free(2);
+}
+
+TEST(AllocGate, LinkPathFourThreadsAllocatesNothingPerFrame) {
+  expect_link_path_alloc_free(4);
 }
 
 }  // namespace

@@ -11,14 +11,29 @@
 namespace qcdoc::hssl {
 namespace {
 
+/// A frame of `bits` bits; the wire reads nothing else.
+Frame frame(int bits) { return Frame{.bits = bits}; }
+
+/// One wire whose receiver records every delivery.
 struct Wire {
+  struct Delivery {
+    u64 id;
+    Frame frame;
+    int flipped;
+    Cycle at;
+  };
+
   sim::Engine engine;
   sim::StatSet stats;
   HsslConfig cfg;
   std::unique_ptr<Hssl> link;
+  std::vector<Delivery> delivered;
 
   explicit Wire(HsslConfig c = HsslConfig{}) : cfg(c) {
     link = std::make_unique<Hssl>(&engine, cfg, Rng(5), &stats);
+    link->set_receiver([this](u64 id, const Frame& f, int flipped) {
+      delivered.push_back(Delivery{id, f, flipped, engine.now()});
+    });
   }
 };
 
@@ -27,13 +42,13 @@ TEST(Hssl, NoTrafficBeforeTraining) {
   // transmit a known byte sequence ... establishing optimal times for
   // sampling": payload queued before training waits for it.
   Wire w;
-  Cycle delivered_at = 0;
   w.link->power_on();
-  w.link->transmit(72, [&](u64, int) { delivered_at = w.engine.now(); });
+  w.link->transmit(frame(72));
   w.engine.run_until_idle();
   EXPECT_TRUE(w.link->trained());
   EXPECT_EQ(w.link->trained_at(), w.cfg.training_cycles);
-  EXPECT_EQ(delivered_at,
+  ASSERT_EQ(w.delivered.size(), 1u);
+  EXPECT_EQ(w.delivered[0].at,
             w.cfg.training_cycles + 72 + w.cfg.wire_delay_cycles);
 }
 
@@ -42,18 +57,13 @@ TEST(Hssl, FramesSerializeInFifoOrderAtOneBitPerCycle) {
   cfg.training_cycles = 8;
   Wire w(cfg);
   w.link->power_on();
-  std::vector<std::pair<u64, Cycle>> deliveries;
-  for (int i = 0; i < 4; ++i) {
-    w.link->transmit(72, [&](u64 id, int) {
-      deliveries.emplace_back(id, w.engine.now());
-    });
-  }
+  for (int i = 0; i < 4; ++i) w.link->transmit(frame(72));
   w.engine.run_until_idle();
-  ASSERT_EQ(deliveries.size(), 4u);
+  ASSERT_EQ(w.delivered.size(), 4u);
   for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(deliveries[i].first, i);
+    EXPECT_EQ(w.delivered[i].id, i);
     // Back-to-back frames: one every 72 cycles after training.
-    EXPECT_EQ(deliveries[i].second,
+    EXPECT_EQ(w.delivered[i].at,
               cfg.training_cycles + 72 * (i + 1) + cfg.wire_delay_cycles);
   }
 }
@@ -63,12 +73,32 @@ TEST(Hssl, MixedFrameSizesKeepOrdering) {
   cfg.training_cycles = 4;
   Wire w(cfg);
   w.link->power_on();
-  std::vector<u64> order;
-  w.link->transmit(72, [&](u64 id, int) { order.push_back(id); });
-  w.link->transmit(16, [&](u64 id, int) { order.push_back(id); });
-  w.link->transmit(72, [&](u64 id, int) { order.push_back(id); });
+  w.link->transmit(frame(72));
+  w.link->transmit(frame(16));
+  w.link->transmit(frame(72));
   w.engine.run_until_idle();
-  EXPECT_EQ(order, (std::vector<u64>{0, 1, 2}));
+  ASSERT_EQ(w.delivered.size(), 3u);
+  for (std::size_t i = 0; i < 3; ++i) EXPECT_EQ(w.delivered[i].id, i);
+  EXPECT_EQ(w.delivered[1].frame.bits, 16);
+}
+
+TEST(Hssl, FrameFieldsArriveAsSent) {
+  // The wire carries the SCU's packet fields by value and never reads them.
+  HsslConfig cfg;
+  cfg.training_cycles = 4;
+  Wire w(cfg);
+  w.link->power_on();
+  const Frame sent{.payload = 0x0123456789abcdefull, .bits = 72, .tag = 0x3,
+                   .seq = 2};
+  w.link->transmit(sent);
+  w.engine.run_until_idle();
+  ASSERT_EQ(w.delivered.size(), 1u);
+  const Frame& got = w.delivered[0].frame;
+  EXPECT_EQ(got.payload, sent.payload);
+  EXPECT_EQ(got.bits, sent.bits);
+  EXPECT_EQ(got.tag, sent.tag);
+  EXPECT_EQ(got.seq, sent.seq);
+  EXPECT_EQ(w.delivered[0].flipped, 0);
 }
 
 TEST(Hssl, ErrorInjectionIsDeterministicAndCounted) {
@@ -78,11 +108,10 @@ TEST(Hssl, ErrorInjectionIsDeterministicAndCounted) {
   auto run = [&] {
     Wire w(cfg);
     w.link->power_on();
-    std::vector<int> flips;
-    for (int i = 0; i < 200; ++i) {
-      w.link->transmit(72, [&](u64, int f) { flips.push_back(f); });
-    }
+    for (int i = 0; i < 200; ++i) w.link->transmit(frame(72));
     w.engine.run_until_idle();
+    std::vector<int> flips;
+    for (const auto& d : w.delivered) flips.push_back(d.flipped);
     return std::make_pair(flips, w.stats.get("hssl.bits_flipped"));
   };
   const auto a = run();
@@ -105,10 +134,9 @@ TEST(Hssl, IdleCyclesAccountTrainedButUnusedTime) {
   w.engine.run_until_idle();
   w.engine.run_until(1010);  // 1000 idle cycles after training
   EXPECT_EQ(w.link->idle_cycles(), 1000u);
-  bool done = false;
-  w.link->transmit(72, [&](u64, int) { done = true; });
+  w.link->transmit(frame(72));
   w.engine.run_until_idle();
-  EXPECT_TRUE(done);
+  EXPECT_EQ(w.delivered.size(), 1u);
   // The 72 busy cycles do not count as idle.
   EXPECT_EQ(w.link->idle_cycles(),
             w.engine.now() - w.cfg.training_cycles - 72);
@@ -121,14 +149,14 @@ TEST(Hssl, ReadyCallbackFiresPerFreeSlot) {
   int ready = 0;
   w.link->set_ready_callback([&] { ++ready; });
   w.link->power_on();
-  w.link->transmit(72, {});
-  w.link->transmit(72, {});
+  w.link->transmit(frame(72));
+  w.link->transmit(frame(72));
   w.engine.run_until_idle();
   // The callback reports "serializer free AND queue empty": with two
   // pre-queued frames it fires exactly once, after the last frame -- the
   // contract the SCU send side relies on (it queues one frame at a time).
   EXPECT_EQ(ready, 1);
-  w.link->transmit(16, {});
+  w.link->transmit(frame(16));
   w.engine.run_until_idle();
   EXPECT_EQ(ready, 2);
 }
@@ -158,7 +186,7 @@ TEST(Hssl, UnpoweredOrFailedLinkRejectsTraffic) {
   Wire w;
   // Never powered on: no training sequence has run.
   EXPECT_EQ(w.link->state(), LinkState::kDown);
-  EXPECT_EQ(w.link->transmit(72, {}), Hssl::kRejected);
+  EXPECT_EQ(w.link->transmit(frame(72)), Hssl::kRejected);
   EXPECT_EQ(w.link->rejected_frames(), 1u);
 
   w.link->power_on();
@@ -168,7 +196,7 @@ TEST(Hssl, UnpoweredOrFailedLinkRejectsTraffic) {
   w.link->fail();
   EXPECT_TRUE(w.link->failed());
   EXPECT_FALSE(w.link->busy());
-  EXPECT_EQ(w.link->transmit(72, {}), Hssl::kRejected);
+  EXPECT_EQ(w.link->transmit(frame(72)), Hssl::kRejected);
   EXPECT_EQ(w.link->rejected_frames(), 2u);
   EXPECT_EQ(w.stats.get("hssl.rejected_frames"), 2u);
 }
@@ -180,23 +208,21 @@ TEST(Hssl, FailDropsInFlightFramesAndRetrainRecovers) {
   w.link->power_on();
   w.engine.run_until_idle();
 
-  bool lost_delivered = false;
-  w.link->transmit(72, [&](u64, int) { lost_delivered = true; });
+  w.link->transmit(frame(72));
   w.engine.run_until(cfg.training_cycles + 10);  // mid-serialization
   w.link->fail();
   w.engine.run_until_idle();
-  EXPECT_FALSE(lost_delivered);  // the bits died on the wire
+  EXPECT_TRUE(w.delivered.empty());  // the bits died on the wire
   EXPECT_EQ(w.stats.get("hssl.failures"), 1u);
 
   // Host-commanded recovery: retraining re-runs the byte sequence and the
   // link carries traffic again.
   w.link->retrain();
   EXPECT_EQ(w.link->state(), LinkState::kTraining);
-  bool delivered = false;
-  w.link->transmit(72, [&](u64, int) { delivered = true; });
+  w.link->transmit(frame(72));
   w.engine.run_until_idle();
   EXPECT_TRUE(w.link->trained());
-  EXPECT_TRUE(delivered);
+  EXPECT_EQ(w.delivered.size(), 1u);
   EXPECT_EQ(w.link->times_trained(), 2u);
   EXPECT_EQ(w.stats.get("hssl.retrains"), 1u);
 }

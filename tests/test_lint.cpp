@@ -293,6 +293,21 @@ TEST(LintStdFunctionEvent, FlagsStdFunctionInsideSimCore) {
   EXPECT_EQ(count_rule(fs, "std-function-event"), 2) << dump(fs);
 }
 
+TEST(LintStdFunctionEvent, FlagsStdFunctionOnTheLinkPath) {
+  // The per-frame SCU/HSSL path runs millions of times per solve: its
+  // callbacks are SmallFn or direct calls, never std::function.
+  const auto hssl = run("src/hssl/fixture.h", R"cc(
+    class Wire {
+      std::function<void()> on_ready_;
+    };
+  )cc");
+  EXPECT_EQ(count_rule(hssl, "std-function-event"), 1) << dump(hssl);
+  const auto scu = run("src/scu/fixture.cpp", R"cc(
+    void RecvSide::set_data_sink(std::function<void(u64)> sink) {}
+  )cc");
+  EXPECT_EQ(count_rule(scu, "std-function-event"), 1) << dump(scu);
+}
+
 TEST(LintStdFunctionEvent, CleanForEventFnAndOutsideSimCore) {
   const auto fs = run("src/sim/fixture.h", R"cc(
     struct Event {
@@ -302,8 +317,11 @@ TEST(LintStdFunctionEvent, CleanForEventFnAndOutsideSimCore) {
     void schedule(EventFn fn);
   )cc");
   EXPECT_TRUE(fs.empty()) << dump(fs);
-  // std::function is fine outside the engine hot path (host job callbacks,
-  // audit hooks): scope is src/sim/ only.
+  EXPECT_TRUE(run("src/scu/fixture.h", R"cc(
+    void set_data_sink(sim::SmallFn<void(u64)> sink);
+  )cc").empty());
+  // std::function is fine off the event and link hot paths (host job
+  // callbacks, audit hooks): scope is src/sim/, src/hssl/ and src/scu/.
   EXPECT_TRUE(run("src/host/fixture.h",
                   "void run_job(std::function<void()> app);").empty());
 }

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "net/cluster_net.h"
 #include "net/ethernet.h"
 #include "net/mesh_net.h"
@@ -239,6 +241,92 @@ TEST(MeshNet, QuiescenceCounterMatchesExhaustiveScan) {
     ASSERT_TRUE(engine.step());
   }
   EXPECT_TRUE(mesh.quiescent_slow());
+}
+
+TEST(MeshNet, UntrainedCountTracksEveryWireStateChange) {
+  const MeshConfig cfg = small_mesh({2, 2, 1, 1, 1, 1});
+  const long wires = 4 * torus::kLinksPerNode;
+  sim::Engine engine({.num_nodes = cfg.shape.volume()});
+  MeshNet mesh(&engine, cfg);
+  // all_trained() reads the count; untrained_links() scans the wires.
+  auto expect_count = [&](long n, const char* step) {
+    EXPECT_EQ(mesh.untrained_count(), n) << step;
+    EXPECT_EQ(mesh.untrained_count(),
+              static_cast<long>(mesh.untrained_links().size()))
+        << step;
+    EXPECT_EQ(mesh.all_trained(), n == 0) << step;
+  };
+  expect_count(wires, "construction");
+  mesh.power_on();
+  expect_count(wires, "power-on, training");
+  engine.run_until_idle();
+  expect_count(0, "trained");
+
+  hssl::Hssl& w = mesh.wire(NodeId{1}, torus::LinkIndex{3});
+  w.fail();
+  expect_count(1, "fail() of a trained wire");
+  w.fail();
+  expect_count(1, "fail() of an already-failed wire");
+  w.retrain();
+  ASSERT_EQ(w.state(), hssl::LinkState::kTraining);
+  expect_count(1, "retrain() of a failed wire");
+  w.retrain();
+  expect_count(1, "retrain() mid-training");
+  engine.run_until_idle();
+  expect_count(0, "retrained");
+  w.retrain();
+  expect_count(1, "retrain() of a trained wire");
+  engine.run_until_idle();
+  expect_count(0, "retrained again");
+
+  // A wire that fails before power-on never trains.
+  sim::Engine cold_engine({.num_nodes = cfg.shape.volume()});
+  MeshNet cold(&cold_engine, cfg);
+  cold.wire(NodeId{2}, torus::LinkIndex{0}).fail();
+  EXPECT_EQ(cold.untrained_count(), wires) << "fail() of a down wire";
+  EXPECT_EQ(cold.untrained_links().size(), static_cast<std::size_t>(wires));
+  cold.power_on();
+  cold_engine.run_until_idle();
+  EXPECT_EQ(cold.untrained_count(), 1);
+  EXPECT_EQ(cold.untrained_links().size(), 1u);
+}
+
+TEST(Dma, ZeroWordDescriptorIsRejectedAndTheLinkStaysUsable) {
+  // A zero-word transfer could never drain or land: it must be refused
+  // before it marks an engine active, or drain() would report a stall.
+  const MeshConfig cfg = small_mesh({2, 1, 1, 1, 1, 1});
+  sim::Engine engine({.num_nodes = cfg.shape.volume()});
+  MeshNet mesh(&engine, cfg);
+  mesh.power_on();
+  engine.run_until_idle();
+
+  const NodeId a{0};
+  const auto link = torus::link_index(0, torus::Dir::kPlus);
+  const NodeId b = mesh.topology().neighbor(a, link);
+  auto& send = mesh.scu(a).send_dma(link);
+  auto& recv = mesh.scu(b).recv_dma(torus::facing_link(link));
+  auto src = mesh.memory(a).alloc(16, "src");
+  auto dst = mesh.memory(b).alloc(16, "dst");
+  EXPECT_THROW(recv.start(scu::DmaDescriptor{dst.word_addr, 0, 1, 0}),
+               std::invalid_argument);
+  EXPECT_THROW(send.start(scu::DmaDescriptor{src.word_addr, 16, 0, 0}),
+               std::invalid_argument);
+  EXPECT_FALSE(send.active());
+  EXPECT_FALSE(recv.active());
+  EXPECT_EQ(send.transfers_started(), 0u);
+  EXPECT_TRUE(mesh.quiescent());
+  EXPECT_TRUE(
+      mesh.scu(b).recv_side(torus::facing_link(link)).in_idle_receive());
+
+  for (u64 i = 0; i < 16; ++i) {
+    mesh.memory(a).write_word(src.word_addr + i, i + 1);
+  }
+  recv.start(scu::DmaDescriptor{dst.word_addr, 16, 1, 0});
+  send.start(scu::DmaDescriptor{src.word_addr, 16, 1, 0});
+  EXPECT_TRUE(mesh.drain());
+  for (u64 i = 0; i < 16; ++i) {
+    EXPECT_EQ(mesh.memory(b).read_word(dst.word_addr + i), i + 1);
+  }
 }
 
 // Property sweep: the protocol must deliver correct data (or flag the run

@@ -220,6 +220,27 @@ TEST(ParallelEngine, ReportCountsWindowsAndShards) {
     EXPECT_EQ(total, r.events);
     EXPECT_EQ(r.events, e.events_executed());
   }
+
+  // At 2 threads, shard 0 owns the host and nodes 0-2, shard 1 nodes 3-7.
+  // Ping-pong between nodes 0 and 1 and between nodes 5 and 6 is all
+  // cross-rank, so it waits in the outboxes, yet no event crosses shards.
+  struct PingPong {
+    Engine* e;
+    void hit(Affinity from, Affinity to, int left) {
+      if (left == 0) return;
+      e->schedule_on(to, kLookahead,
+                     [this, from, to, left] { hit(to, from, left - 1); });
+    }
+  };
+  Engine e(config(2));
+  PingPong p{&e};
+  e.schedule_on(0, 0, [&p] { p.hit(0, 1, 50); });
+  e.schedule_on(5, 0, [&p] { p.hit(5, 6, 50); });
+  e.run_until_idle();
+  const EngineReport r = e.report();
+  EXPECT_GT(r.windows_parallel, 0u);
+  EXPECT_GT(r.parallel_window_events, 0u);
+  EXPECT_EQ(r.cross_shard_events, 0u);
 }
 
 TEST(ParallelEngine, ReportPopulatesBarrierAndActionPoolCounters) {

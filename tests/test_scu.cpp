@@ -435,6 +435,32 @@ TEST(Dma, BlockStridedTransferGathersAndScatters) {
   }
 }
 
+TEST(Dma, ScatterLandsEveryWordWithinAndAcrossAllocations) {
+  // A receive indexes one span when a single allocation holds its whole
+  // pattern and looks each word up otherwise; negative strides put the
+  // pattern's lowest word at its last block in both cases.
+  LinkPair link;
+  memsys::NodeMemory mem_a, mem_b;
+  const auto src = mem_a.alloc(16, "src");
+  const auto low = mem_b.alloc(16, "low");
+  const auto high = mem_b.alloc(16, "high");
+  ASSERT_EQ(high.word_addr, low.word_addr + 16);
+  for (u64 i = 0; i < 16; ++i) mem_a.write_word(src.word_addr + i, 100 + i);
+
+  SendDma send(&link.engine, &mem_a, link.send_a.get(), DmaTiming{});
+  RecvDma recv(&link.engine, &mem_b, link.recv_b.get(), DmaTiming{});
+  const DmaDescriptor within{high.word_addr + 12, 4, 4, -4};
+  const DmaDescriptor across{high.word_addr + 8, 4, 4, -8};
+  for (const DmaDescriptor& rd : {within, across}) {
+    recv.start(rd);
+    send.start(DmaDescriptor{src.word_addr, 16, 1, 0});
+    link.engine.run_until_idle();
+    for (u64 i = 0; i < 16; ++i) {
+      EXPECT_EQ(mem_b.read_word(rd.word_addr(i)), 100 + i) << i;
+    }
+  }
+}
+
 TEST(GlobalOps, OddRingSizes) {
   GlobalOpTiming t;
   for (int n : {3, 5, 7}) {

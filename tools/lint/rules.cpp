@@ -494,13 +494,17 @@ class StdFunctionEventRule final : public Rule {
  public:
   const char* id() const override { return "std-function-event"; }
   const char* summary() const override {
-    return "no std::function in src/sim/; event actions use sim::EventFn "
-           "(48-byte inline buffer + pooled fallback) so the hot path "
-           "allocates zero heap blocks per event";
+    return "no std::function in src/sim/, src/hssl/ or src/scu/; event "
+           "actions and link-path callbacks use sim::SmallFn (48-byte inline "
+           "buffer + pooled fallback) or direct calls, so the event and "
+           "per-frame paths allocate zero heap blocks";
   }
   void check(const SourceFile& f, const ProjectIndex&,
              std::vector<Finding>* out) const override {
-    if (!f.in_dir("src/sim/")) return;
+    if (!f.in_dir("src/sim/") && !f.in_dir("src/hssl/") &&
+        !f.in_dir("src/scu/")) {
+      return;
+    }
     const auto& toks = f.tokens;
     for (std::size_t i = 0; i + 2 < toks.size(); ++i) {
       if (is_ident(toks[i], "std") && is_punct(toks[i + 1], "::") &&
@@ -508,7 +512,7 @@ class StdFunctionEventRule final : public Rule {
         add(f, toks[i],
             "std::function heap-allocates nearly every event action (its "
             "inline buffer is 16 bytes); store engine actions in "
-            "sim::EventFn",
+            "sim::EventFn and link-path callbacks in sim::SmallFn",
             out);
       }
     }
