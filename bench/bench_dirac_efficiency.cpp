@@ -63,7 +63,7 @@ int main() {
   });
   const auto wilson_sp = run_cg(g44, [](SolverRig& rig, GaugeField& g) {
     WilsonParams p;
-    p.single_precision = true;
+    p.precision = Precision::kSingle;
     return std::make_unique<WilsonDirac>(rig.ops.get(), rig.geom.get(), &g, p);
   });
   const auto clover = run_cg(g44, [](SolverRig& rig, GaugeField& g) {

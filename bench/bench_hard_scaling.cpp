@@ -100,7 +100,8 @@ struct EngineRun {
   u64 digest;
   u64 events;
   Cycle end_cycle;
-  u64 heap_blocks_steady;
+  /// Action-allocator counts over the measured solve (each must be 0).
+  sim::detail::ActionAllocStats steady;
   sim::EngineReport report;
 };
 
@@ -122,13 +123,14 @@ EngineRun run_engine(std::array<int, 6> shape, Coord4 global, int threads,
   DistField b = op.make_field("b");
   x.zero();
   rig.fill_source(b);
-  // One warm-up iteration fills the action pool and grows every queue to
-  // its working size; the measured solve after the snapshot must then run
-  // without allocating a single heap block per event.
+  // One warm-up iteration grows every queue to its working size; the
+  // measured solve after the snapshot must then run without a single
+  // action-pool block, freelist reuse or oversize allocation.
   CgParams warm;
   warm.fixed_iterations = 1;
   cg_solve(op, x, b, warm);
-  const u64 heap0 = sim::detail::action_alloc_stats().heap_blocks();
+  const sim::detail::ActionAllocStats alloc0 =
+      sim::detail::action_alloc_stats();
   x.zero();
   CgParams params;
   params.fixed_iterations = iterations;
@@ -139,8 +141,11 @@ EngineRun run_engine(std::array<int, 6> shape, Coord4 global, int threads,
   er.wall_seconds = std::chrono::duration<double>(
                         std::chrono::steady_clock::now() - t0)
                         .count();
-  er.heap_blocks_steady =
-      sim::detail::action_alloc_stats().heap_blocks() - heap0;
+  const sim::detail::ActionAllocStats alloc1 =
+      sim::detail::action_alloc_stats();
+  er.steady.pool_blocks = alloc1.pool_blocks - alloc0.pool_blocks;
+  er.steady.pool_reuses = alloc1.pool_reuses - alloc0.pool_reuses;
+  er.steady.oversize_allocs = alloc1.oversize_allocs - alloc0.oversize_allocs;
   er.digest = m.engine().trace_digest();
   er.events = m.engine().events_executed();
   er.end_cycle = m.engine().now();
@@ -197,25 +202,33 @@ void engine_scaling_section() {
     br.events = r->events;
     br.wall_seconds = r->wall_seconds;
     br.digest = r->digest;
-    br.heap_blocks_steady = r->heap_blocks_steady;
+    br.heap_blocks_steady = r->steady.heap_blocks();
     runs.push_back(br);
   }
   bench::write_engine_bench_json("BENCH_engine.json", runs, speedup,
                                  identical);
 
   if (!identical) std::exit(1);
-  // Count-based zero-allocation gate: with the action pool warm, the
-  // measured CG phase must not allocate a single heap block per event.
+  // Count-based allocation gate: the measured CG phase must take no pool
+  // block, no freelist reuse (each is a lock and an oversized action) and
+  // no oversize allocation.
+  bool allocation_free = true;
   for (const EngineRun* r : {&one, &two, &four}) {
-    if (r->heap_blocks_steady != 0) {
-      std::printf(
-          "  FAIL: %d-thread steady-state run allocated %llu heap blocks\n",
-          r->threads,
-          static_cast<unsigned long long>(r->heap_blocks_steady));
-      std::exit(1);
-    }
+    const sim::detail::ActionAllocStats& a = r->steady;
+    std::printf(
+        "  %d-thread steady state: %llu pool blocks, %llu pool reuses, "
+        "%llu oversize allocs\n",
+        r->threads, static_cast<unsigned long long>(a.pool_blocks),
+        static_cast<unsigned long long>(a.pool_reuses),
+        static_cast<unsigned long long>(a.oversize_allocs));
+    allocation_free = allocation_free && a.pool_blocks == 0 &&
+                      a.pool_reuses == 0 && a.oversize_allocs == 0;
   }
-  std::printf("  steady-state heap blocks per event: 0 (gate passed)\n");
+  if (!allocation_free) {
+    std::printf("  FAIL: the steady-state solve used the action pool\n");
+    std::exit(1);
+  }
+  std::printf("  steady-state action allocations: 0 (gate passed)\n");
   // The >= 2x expectation only stands where the hardware can physically
   // deliver it; on fewer than 4 cores we report the measured number and the
   // determinism guarantee carries the bench.

@@ -245,10 +245,13 @@ void FaultInjector::apply(const FaultEvent& e) {
       wire.set_bit_error_rate(e.bit_error_rate);
       if (e.duration > 0) {
         const sim::EngineRef host(&mesh_->engine());
+        // Captures only what the restore reads, so the action stays inside
+        // EventFn's inline buffer and takes no action-pool block.
         // qcdoc-lint: touches(node) restores the BER of e.node's wire only
-        host.schedule(e.duration, [this, e, previous] {
-          QCDOC_AFFSAN_TOUCH(static_cast<sim::Affinity>(e.node.value));
-          mesh_->wire(e.node, e.link).set_bit_error_rate(previous);
+        host.schedule(e.duration, [this, node = e.node, link = e.link,
+                                   previous] {
+          QCDOC_AFFSAN_TOUCH(static_cast<sim::Affinity>(node.value));
+          mesh_->wire(node, link).set_bit_error_rate(previous);
         });
       }
       break;

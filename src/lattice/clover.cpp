@@ -44,8 +44,11 @@ CloverDirac::CloverDirac(FieldOps* ops, const GlobalGeometry* geom,
       gauge_(gauge),
       params_(params),
       hopping_(ops, geom, gauge,
-               WilsonParams{params.kappa, params.overlap_comm,
-                            params.single_precision}),
+               WilsonParams{.kappa = params.kappa,
+                            .overlap_comm = params.overlap_comm,
+                            .precision = params.single_precision
+                                             ? Precision::kSingle
+                                             : Precision::kDouble}),
       clover_(&ops->comm(), geom, 2 * kBlockDoubles, "clover") {
   compute_clover_term();
 }

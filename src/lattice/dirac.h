@@ -9,6 +9,7 @@
 // machine time per application.
 #pragma once
 
+#include <algorithm>
 #include <memory>
 #include <string>
 
@@ -57,6 +58,40 @@ class DiracOperator {
   const GlobalGeometry& geometry() const { return *geom_; }
 
  protected:
+  /// One application's BSP schedule, shared by every operator.  The caller
+  /// has packed `halos`; this charges the pack, exchanges the halos, runs
+  /// `compute_sites`, charges the site kernel and books both kernels to
+  /// `precision` in the ledger.  With `overlap` the exchange hides under
+  /// the interior sites, those at least 2 * halo_slabs() from every face,
+  /// and the rest compute after it; otherwise the exchange completes
+  /// first.
+  template <typename ComputeSites>
+  void exchange_and_compute(HaloSet& halos, const cpu::KernelProfile& pack,
+                            const cpu::KernelProfile& site, bool overlap,
+                            Precision precision, ComputeSites&& compute_sites) {
+    auto& bsp = ops_->bsp();
+    const auto& cpu = ops_->cpu();
+    bsp.compute(cpu.kernel_cycles(pack));
+    const double site_cycles = cpu.kernel_cycles(site);
+    if (overlap) {
+      double interior = 1;
+      for (int e : geom_->local().extent()) {
+        interior *= std::max(e - 2 * halo_slabs(), 0);
+      }
+      const double frac = interior / geom_->local().volume();
+      bsp.overlap(site_cycles * frac, [&] { halos.post_all_shifts(); });
+      compute_sites();
+      bsp.compute(site_cycles * (1.0 - frac));
+    } else {
+      halos.post_all_shifts();
+      bsp.communicate();
+      compute_sites();
+      bsp.compute(site_cycles);
+    }
+    ops_->account_kernel(pack, geom_->ranks(), precision);
+    ops_->account_kernel(site, geom_->ranks(), precision);
+  }
+
   FieldOps* ops_;
   const GlobalGeometry* geom_;
 };

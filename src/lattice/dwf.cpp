@@ -1,7 +1,8 @@
 #include "lattice/dwf.h"
 
-#include <algorithm>
 #include <cassert>
+
+#include "lattice/hop_kernel.h"
 
 namespace qcdoc::lattice {
 namespace {
@@ -26,108 +27,29 @@ DwfDirac::DwfDirac(FieldOps* ops, const GlobalGeometry* geom,
   assert(params_.ls >= 2);
 }
 
-void DwfDirac::pack_faces(const DistField& in) {
-  const auto& local = geom_->local();
-  const int ls = params_.ls;
-  const int hw = kDoublesPerHalfSpinor;
-  for (int r = 0; r < in.ranks(); ++r) {
-    for (int mu = 0; mu < kNd; ++mu) {
-      const auto low = local.face_layer_sites(mu, +1, 0);
-      auto send_low = halos_.send_buf(r, mu, +1);
-      for (std::size_t t = 0; t < low.size(); ++t) {
-        const double* base = in.site(r, low[t]);
-        for (int s5 = 0; s5 < ls; ++s5) {
-          const Spinor psi = load_spinor(base + s5 * kDoublesPerSpinor);
-          store_half_spinor(
-              send_low.data() +
-                  (t * static_cast<std::size_t>(ls) +
-                   static_cast<std::size_t>(s5)) *
-                      static_cast<std::size_t>(hw),
-              project(mu, +1, psi));
-        }
-      }
-      const auto high = local.face_layer_sites(mu, -1, 0);
-      auto send_high = halos_.send_buf(r, mu, -1);
-      for (std::size_t t = 0; t < high.size(); ++t) {
-        const double* base = in.site(r, high[t]);
-        const Su3Matrix u = gauge_->link(r, high[t], mu);
-        for (int s5 = 0; s5 < ls; ++s5) {
-          const Spinor psi = load_spinor(base + s5 * kDoublesPerSpinor);
-          HalfSpinor h = project(mu, -1, psi);
-          h[0] = adj_mul(u, h[0]);
-          h[1] = adj_mul(u, h[1]);
-          store_half_spinor(send_high.data() +
-                                (t * static_cast<std::size_t>(ls) +
-                                 static_cast<std::size_t>(s5)) *
-                                    static_cast<std::size_t>(hw),
-                            h);
-        }
-      }
-    }
-  }
-}
-
 void DwfDirac::compute_sites(DistField& out, const DistField& in, bool dagger) {
-  const auto& local = geom_->local();
   const int ls = params_.ls;
-  const int hw = kDoublesPerHalfSpinor;
-  // Dagger conjugates the 4-D hopping (gamma5 gamma_mu gamma5 = -gamma_mu
-  // swaps the projectors) and transposes the 5-D couplings.
-  const int sf = dagger ? -1 : +1;  // forward 4-D projector sign
+  // 5-D: non-dagger couples P- to s+1 and P+ to s-1; dagger swaps.
+  const int up_sign = dagger ? +1 : -1;    // chirality kept from s+1
+  const int down_sign = dagger ? -1 : +1;  // chirality kept from s-1
   for (int r = 0; r < in.ranks(); ++r) {
-    for (int s = 0; s < local.volume(); ++s) {
-      const Su3Matrix u[kNd] = {
-          gauge_->link(r, s, 0), gauge_->link(r, s, 1), gauge_->link(r, s, 2),
-          gauge_->link(r, s, 3)};
-      for (int s5 = 0; s5 < ls; ++s5) {
-        Spinor hop;
-        for (int mu = 0; mu < kNd; ++mu) {
-          const auto fwd = local.neighbor(s, mu, +1);
-          HalfSpinor h;
-          if (fwd.local) {
-            h = project(mu, sf,
-                        load_spinor(in.site(r, fwd.index) +
-                                    s5 * kDoublesPerSpinor));
-          } else {
-            h = load_half_spinor(
-                halos_.recv_buf(r, mu, +1).data() +
-                (static_cast<std::size_t>(fwd.index) *
-                     static_cast<std::size_t>(ls) +
-                 static_cast<std::size_t>(s5)) *
-                    static_cast<std::size_t>(hw));
-          }
-          HalfSpinor uh;
-          uh[0] = u[mu] * h[0];
-          uh[1] = u[mu] * h[1];
-          hop += reconstruct(mu, sf, uh);
-
-          const auto bwd = local.neighbor(s, mu, -1);
-          HalfSpinor g;
-          if (bwd.local) {
-            g = project(mu, -sf,
-                        load_spinor(in.site(r, bwd.index) +
-                                    s5 * kDoublesPerSpinor));
-            const Su3Matrix ub = gauge_->link(r, bwd.index, mu);
-            g[0] = adj_mul(ub, g[0]);
-            g[1] = adj_mul(ub, g[1]);
-          } else {
-            g = load_half_spinor(
-                halos_.recv_buf(r, mu, -1).data() +
-                (static_cast<std::size_t>(bwd.index) *
-                     static_cast<std::size_t>(ls) +
-                 static_cast<std::size_t>(s5)) *
-                    static_cast<std::size_t>(hw));
-          }
-          hop += reconstruct(mu, -sf, g);
+    for (int s5 = 0; s5 < ls; ++s5) {
+      const RankView v =
+          rank_view(in, *gauge_, halos_, r, s5, Precision::kDouble);
+      for (int s = 0; s < v.local->volume(); ++s) {
+        // Dagger conjugates the 4-D hopping: gamma5 gamma_mu gamma5 =
+        // -gamma_mu swaps the projectors.
+        double hop[kDoublesPerSpinor];
+        if (dagger) {
+          store_hop<-1>(hop, s, v);
+        } else {
+          store_hop<+1>(hop, s, v);
         }
 
         // out = psi - kappa5 * hop - (5-D couplings)
         Spinor res = load_spinor(in.site(r, s) + s5 * kDoublesPerSpinor);
-        res += Complex(-params_.kappa5, 0.0) * hop;
+        res += Complex(-params_.kappa5, 0.0) * load_spinor(hop);
 
-        // 5-D: non-dagger couples P- to s+1 and P+ to s-1; dagger swaps.
-        const int up_sign = dagger ? +1 : -1;    // chirality kept from s+1
-        const int down_sign = dagger ? -1 : +1;  // chirality kept from s-1
         const int s_up = s5 + 1;
         const int s_dn = s5 - 1;
         {
@@ -219,81 +141,21 @@ cpu::KernelProfile DwfDirac::site_profile(
 }
 
 void DwfDirac::run(DistField& out, DistField& in, bool dagger) {
-  auto& bsp = ops_->bsp();
-  const auto& cpu = ops_->cpu();
-
-  // Dagger swaps which projection travels in each direction; the pack
-  // performs the projection for the *receiver's* forward hop, so it must
-  // follow the same convention.  We reuse pack_faces by exploiting that the
-  // forward/backward buffers swap roles: for simplicity the dagger path
-  // packs with swapped projectors inline.
-  if (!dagger) {
-    pack_faces(in);
-  } else {
-    // gamma5-conjugate trick: pack gamma5*in with normal projectors, which
-    // equals packing in with swapped projectors up to sign bookkeeping that
-    // reconstruct() absorbs.  We pack explicitly instead (clarity first).
-    const auto& local = geom_->local();
-    const int ls = params_.ls;
-    const int hw = kDoublesPerHalfSpinor;
-    for (int r = 0; r < in.ranks(); ++r) {
-      for (int mu = 0; mu < kNd; ++mu) {
-        const auto low = local.face_layer_sites(mu, +1, 0);
-        auto send_low = halos_.send_buf(r, mu, +1);
-        for (std::size_t t = 0; t < low.size(); ++t) {
-          for (int s5 = 0; s5 < ls; ++s5) {
-            const Spinor psi =
-                load_spinor(in.site(r, low[t]) + s5 * kDoublesPerSpinor);
-            store_half_spinor(send_low.data() +
-                                  (t * static_cast<std::size_t>(ls) +
-                                   static_cast<std::size_t>(s5)) *
-                                      static_cast<std::size_t>(hw),
-                              project(mu, -1, psi));
-          }
-        }
-        const auto high = local.face_layer_sites(mu, -1, 0);
-        auto send_high = halos_.send_buf(r, mu, -1);
-        for (std::size_t t = 0; t < high.size(); ++t) {
-          const Su3Matrix u = gauge_->link(r, high[t], mu);
-          for (int s5 = 0; s5 < ls; ++s5) {
-            const Spinor psi =
-                load_spinor(in.site(r, high[t]) + s5 * kDoublesPerSpinor);
-            HalfSpinor h = project(mu, +1, psi);
-            h[0] = adj_mul(u, h[0]);
-            h[1] = adj_mul(u, h[1]);
-            store_half_spinor(send_high.data() +
-                                  (t * static_cast<std::size_t>(ls) +
-                                   static_cast<std::size_t>(s5)) *
-                                      static_cast<std::size_t>(hw),
-                              h);
-          }
-        }
+  // Each slice packs the faces of its own 4-D hop: Dslash^+ when dagger.
+  for (int r = 0; r < in.ranks(); ++r) {
+    for (int s5 = 0; s5 < params_.ls; ++s5) {
+      const RankView v =
+          rank_view(in, *gauge_, halos_, r, s5, Precision::kDouble);
+      if (dagger) {
+        pack_rank<-1>(v);
+      } else {
+        pack_rank<+1>(v);
       }
     }
   }
-  const auto pack = pack_profile();
-  bsp.compute(cpu.kernel_cycles(pack));
-
-  const auto site = site_profile(in.body_region());
-  const double site_cycles = cpu.kernel_cycles(site);
-  if (params_.overlap_comm) {
-    const auto& ext = geom_->local().extent();
-    double interior = 1;
-    for (int mu = 0; mu < kNd; ++mu) {
-      interior *= std::max(ext[static_cast<std::size_t>(mu)] - 2, 0);
-    }
-    const double frac = interior / geom_->local().volume();
-    bsp.overlap(site_cycles * frac, [&] { halos_.post_all_shifts(); });
-    compute_sites(out, in, dagger);
-    bsp.compute(site_cycles * (1.0 - frac));
-  } else {
-    halos_.post_all_shifts();
-    bsp.communicate();
-    compute_sites(out, in, dagger);
-    bsp.compute(site_cycles);
-  }
-  ops_->account_kernel(pack, geom_->ranks(), Precision::kDouble);
-  ops_->account_kernel(site, geom_->ranks(), Precision::kDouble);
+  exchange_and_compute(halos_, pack_profile(), site_profile(in.body_region()),
+                       params_.overlap_comm, Precision::kDouble,
+                       [&] { compute_sites(out, in, dagger); });
 }
 
 void DwfDirac::apply(DistField& out, DistField& in) { run(out, in, false); }

@@ -51,7 +51,6 @@ class DwfDirac : public DiracOperator {
   const DwfParams& params() const { return params_; }
 
  private:
-  void pack_faces(const DistField& in);
   /// 4-D hopping on every slice plus the 5-D projector couplings; `dagger`
   /// flips both (gamma5-conjugated 4-D term, transposed 5-D term).
   void compute_sites(DistField& out, const DistField& in, bool dagger);

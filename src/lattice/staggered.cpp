@@ -1,6 +1,5 @@
 #include "lattice/staggered.h"
 
-#include <algorithm>
 #include <cassert>
 
 namespace qcdoc::lattice {
@@ -235,45 +234,18 @@ cpu::KernelProfile AsqtadDirac::site_profile(
   return p;
 }
 
-void AsqtadDirac::exchange_and_compute(DistField& out, DistField& in,
-                                       int parity) {
-  auto& bsp = ops_->bsp();
-  const auto& cpu = ops_->cpu();
-
-  pack_faces(in);
-  const auto pack = pack_profile();
-  bsp.compute(cpu.kernel_cycles(pack));
-
-  // A parity-restricted application touches half the sites.
-  auto site = site_profile(in.body_region());
-  if (parity >= 0) site = site.scaled(0.5);
-  const double site_cycles = cpu.kernel_cycles(site);
-  if (params_.overlap_comm && parity < 0) {
-    const auto& ext = geom_->local().extent();
-    double interior = 1;
-    for (int mu = 0; mu < kNd; ++mu) {
-      interior *= std::max(ext[static_cast<std::size_t>(mu)] - 6, 0);
-    }
-    const double frac = interior / geom_->local().volume();
-    bsp.overlap(site_cycles * frac, [&] { halos_.post_all_shifts(); });
-    compute_sites(out, in, parity);
-    bsp.compute(site_cycles * (1.0 - frac));
-  } else {
-    halos_.post_all_shifts();
-    bsp.communicate();
-    compute_sites(out, in, parity);
-    bsp.compute(site_cycles);
-  }
-  ops_->account_kernel(pack, geom_->ranks(), Precision::kDouble);
-  ops_->account_kernel(site, geom_->ranks(), Precision::kDouble);
-}
-
 void AsqtadDirac::dslash(DistField& out, DistField& in) {
-  exchange_and_compute(out, in, -1);
+  dslash_parity(out, in, -1);
 }
 
 void AsqtadDirac::dslash_parity(DistField& out, DistField& in, int parity) {
-  exchange_and_compute(out, in, parity);
+  pack_faces(in);
+  // A parity-restricted application touches half the sites.
+  auto site = site_profile(in.body_region());
+  if (parity >= 0) site = site.scaled(0.5);
+  exchange_and_compute(halos_, pack_profile(), site,
+                       params_.overlap_comm && parity < 0, Precision::kDouble,
+                       [&] { compute_sites(out, in, parity); });
 }
 
 void AsqtadDirac::apply_mass(DistField& out, DistField& in, double sign) {

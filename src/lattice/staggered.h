@@ -57,7 +57,7 @@ class AsqtadDirac : public DiracOperator {
   /// opposite parities, so this reads only 1-parity sites of `in`).  The
   /// untouched parity of `out` is left as-is.  This is the kernel of the
   /// even-odd preconditioned solver (lattice/eo_cg.h): half the compute per
-  /// application.
+  /// application.  Parity -1 evaluates every site, as dslash does.
   void dslash_parity(DistField& out, DistField& in, int parity);
 
   cpu::KernelProfile pack_profile() const;
@@ -75,7 +75,6 @@ class AsqtadDirac : public DiracOperator {
   /// parity = -1 computes every site; 0/1 restricts to that parity.
   void compute_sites(DistField& out, const DistField& in, int parity = -1);
   void apply_mass(DistField& out, DistField& in, double sign);
-  void exchange_and_compute(DistField& out, DistField& in, int parity);
 
   GaugeField* gauge_;
   AsqtadParams params_;

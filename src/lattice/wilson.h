@@ -22,15 +22,13 @@ struct WilsonParams {
   /// can hide most of the halo exchange; off reproduces the benchmarked
   /// sequential figure).
   bool overlap_comm = false;
-  /// Single-precision arithmetic: same flop rate on the 64-bit FPU but half
-  /// the memory and communication traffic ("performance for single
-  /// precision is slightly higher due to the decreased bandwidth").
-  /// Equivalent to precision = kSingle; kept for older call sites.
-  bool single_precision = false;
   /// Storage precision of the kernels: governs halo wire format, the
   /// memory-traffic scale factor of the profiles, and which bucket of the
-  /// per-precision ledger the work lands in.  kHalf sends faces as 16-bit
-  /// block-float half spinors (12 mantissas + shared exponent in 4 words).
+  /// per-precision ledger the work lands in.  kSingle keeps the flop rate
+  /// of the 64-bit FPU but halves the memory and communication traffic
+  /// ("performance for single precision is slightly higher due to the
+  /// decreased bandwidth"); kHalf sends faces as 16-bit block-float half
+  /// spinors (12 mantissas + shared exponent in 4 words).
   Precision precision = Precision::kDouble;
 };
 
@@ -45,17 +43,7 @@ class WilsonDirac : public DiracOperator {
   /// single precision; or 12 block-float mantissas plus the shared exponent
   /// packed in 4 words at half precision -- the wire really carries the
   /// narrow bits.
-  int halo_doubles() const override {
-    switch (params_.precision) {
-      case Precision::kSingle:
-        return kDoublesPerHalfSpinor / 2;
-      case Precision::kHalf:
-        return 4;
-      case Precision::kDouble:
-      default:
-        return kDoublesPerHalfSpinor;
-    }
-  }
+  int halo_doubles() const override;
   int halo_slabs() const override { return 1; }
 
   void apply(DistField& out, DistField& in) override;
@@ -68,6 +56,7 @@ class WilsonDirac : public DiracOperator {
   /// out = Dslash in evaluated only on sites of `parity` (the hopping term
   /// couples opposite parities).  The other parity of `out` is untouched.
   /// Kernel of the even-odd preconditioned solver (lattice/eo_cg.h).
+  /// Parity -1 evaluates every site, as dslash does.
   void dslash_parity(DistField& out, DistField& in, int parity);
 
   /// Per-node, per-application cost profiles of the assembly kernels.
@@ -87,11 +76,6 @@ class WilsonDirac : public DiracOperator {
   static void apply_gamma5(DistField& f);
 
  private:
-  void pack_faces(const DistField& in);
-  /// parity = -1 computes every site; 0/1 restricts to that parity.
-  void compute_sites(DistField& out, const DistField& in, int parity);
-  void exchange_and_compute(DistField& out, DistField& in, int parity);
-
   GaugeField* gauge_;
   WilsonParams params_;
   HaloSet halos_;

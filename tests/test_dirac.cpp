@@ -134,7 +134,7 @@ TEST(Wilson, SinglePrecisionCommTracksDouble) {
     GaugeField gauge(rig.comm.get(), rig.geom.get());
     fill_gauge_by_global_site(*rig.geom, gauge, 0xf00d);
     WilsonParams params;
-    params.single_precision = single;
+    params.precision = single ? Precision::kSingle : Precision::kDouble;
     WilsonDirac op(rig.ops.get(), rig.geom.get(), &gauge, params);
     DistField in = op.make_field("in");
     DistField out = op.make_field("out");
@@ -620,6 +620,149 @@ TEST(Dwf, GaugeReuseRaisesArithmeticIntensity) {
   const double intensity8 = p8.flops() / (p8.load_bytes + p8.store_bytes);
   const double intensity16 = p16.flops() / (p16.load_bytes + p16.store_bytes);
   EXPECT_GT(intensity16, intensity8);
+}
+
+// --- Domain-wall kernel vs the reference slice loop -------------------------
+//
+// DwfDirac runs every slice on the Wilson hop kernel.  The reference is the
+// operator's original loop: per slice, the 4-D hop from project /
+// reconstruct / operator* / adj_mul (projectors swapped for the dagger),
+// with neighbours from coordinates and off-node half spinors sent through
+// the wire format, then the 5-D chiral couplings.
+
+/// out = M in, or M^+ in when `dagger`.
+void reference_dwf(const GlobalGeometry& geom, const GaugeField& gauge,
+                   const DistField& in, DistField& out, const DwfParams& p,
+                   bool dagger) {
+  const LocalGeometry& local = geom.local();
+  const int ls = p.ls;
+  const int sf = dagger ? -1 : +1;  // forward 4-D projector sign
+  const auto slice = [&](int r, int s, int s5) {
+    return load_spinor(in.site(r, s) + s5 * kDoublesPerSpinor);
+  };
+  const auto add_chiral = [](Spinor& acc, const Spinor& psi, int sign,
+                             double coeff) {
+    const int lo = sign > 0 ? 0 : 2;
+    for (int sp = lo; sp < lo + 2; ++sp) {
+      for (int c = 0; c < 3; ++c) acc[sp][c] += coeff * psi[sp][c];
+    }
+  };
+  for (int r = 0; r < in.ranks(); ++r) {
+    for (int s = 0; s < local.volume(); ++s) {
+      const Coord4 g = geom.global_coords(r, s);
+      const Coord4 x = local.coords(s);
+      for (int s5 = 0; s5 < ls; ++s5) {
+        Spinor hop;
+        for (int mu = 0; mu < kNd; ++mu) {
+          const auto m = static_cast<std::size_t>(mu);
+          const auto step = [&](int d) {
+            Coord4 y = g;
+            y[m] += d;
+            return geom.owner(y);
+          };
+          const auto [rf, sfwd] = step(+1);
+          HalfSpinor h = project(mu, sf, slice(rf, sfwd, s5));
+          if (x[m] + 1 == local.extent()[m]) {
+            h = through_wire(h, Precision::kDouble);
+          }
+          const Su3Matrix u = gauge.link(r, s, mu);
+          HalfSpinor uh;
+          uh[0] = u * h[0];
+          uh[1] = u * h[1];
+          hop += reconstruct(mu, sf, uh);
+
+          const auto [rb, sb] = step(-1);
+          HalfSpinor hb = project(mu, -sf, slice(rb, sb, s5));
+          const Su3Matrix ub = gauge.link(rb, sb, mu);
+          hb[0] = adj_mul(ub, hb[0]);
+          hb[1] = adj_mul(ub, hb[1]);
+          if (x[m] == 0) hb = through_wire(hb, Precision::kDouble);
+          hop += reconstruct(mu, -sf, hb);
+        }
+
+        Spinor res = slice(r, s, s5);
+        res += Complex(-p.kappa5, 0.0) * hop;
+        // Non-dagger couples P- to s+1 and P+ to s-1; dagger swaps.
+        const int up_sign = dagger ? +1 : -1;
+        const int down_sign = dagger ? -1 : +1;
+        add_chiral(res, slice(r, s, s5 + 1 < ls ? s5 + 1 : 0), up_sign,
+                   s5 + 1 < ls ? -1.0 : p.mf);
+        add_chiral(res, slice(r, s, s5 > 0 ? s5 - 1 : ls - 1), down_sign,
+                   s5 > 0 ? -1.0 : p.mf);
+        store_spinor(out.site(r, s) + s5 * kDoublesPerSpinor, res);
+      }
+    }
+  }
+}
+
+/// apply and apply_dag against the reference.
+void expect_dwf_matches_reference(LatticeRig& rig, GaugeField& gauge,
+                                  DwfDirac& op, DistField& in,
+                                  bool nan_equal) {
+  DistField out = op.make_field("out");
+  DistField ref = op.make_field("ref");
+  op.apply(out, in);
+  reference_dwf(*rig.geom, gauge, in, ref, op.params(), false);
+  EXPECT_TRUE(same_bits(out, ref, nan_equal)) << "apply";
+  op.apply_dag(out, in);
+  reference_dwf(*rig.geom, gauge, in, ref, op.params(), true);
+  EXPECT_TRUE(same_bits(out, ref, nan_equal)) << "apply_dag";
+}
+
+/// (2x2x2x2 nodes rather than one, overlap_comm, Ls).
+using DwfKernelCase = std::tuple<bool, bool, int>;
+
+class DwfKernelOracle : public ::testing::TestWithParam<DwfKernelCase> {};
+
+TEST_P(DwfKernelOracle, MatchesReferenceSliceLoopBitForBit) {
+  const auto [partitioned, overlap_comm, ls] = GetParam();
+  // Local {2, 3, 2, 4} when partitioned, as in WilsonKernelOracle.
+  LatticeRig rig(partitioned ? std::array<int, 6>{2, 2, 2, 2, 1, 1}
+                             : std::array<int, 6>{1, 1, 1, 1, 1, 1},
+                 {4, 6, 4, 8});
+  GaugeField gauge(rig.comm.get(), rig.geom.get());
+  Rng rng(0xd0a11);
+  gauge.randomize(rng);
+  DwfDirac op(rig.ops.get(), rig.geom.get(), &gauge,
+              DwfParams{.ls = ls,
+                        .kappa5 = 0.17,
+                        .mf = 0.05,
+                        .overlap_comm = overlap_comm});
+  DistField in = op.make_field("in");
+  fill_gaussian(in, rng);
+  expect_dwf_matches_reference(rig, gauge, op, in, false);
+  in.zero();
+  expect_dwf_matches_reference(rig, gauge, op, in, false);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Kernels, DwfKernelOracle,
+    ::testing::Combine(::testing::Bool(), ::testing::Bool(),
+                       ::testing::Values(2, 5)),
+    [](const ::testing::TestParamInfo<DwfKernelCase>& info) {
+      return std::string(std::get<0>(info.param) ? "Nodes16" : "Node1") +
+             "Ls" + std::to_string(std::get<2>(info.param)) +
+             (std::get<1>(info.param) ? "Overlap" : "Sequential");
+    });
+
+TEST(DwfKernelOracle, NonFiniteInputMatchesReference) {
+  LatticeRig rig({2, 2, 2, 2, 1, 1}, {4, 4, 4, 4});
+  GaugeField gauge(rig.comm.get(), rig.geom.get());
+  Rng rng(0x1bf5);
+  gauge.randomize(rng);
+  DwfDirac op(rig.ops.get(), rig.geom.get(), &gauge, DwfParams{.ls = 3});
+  DistField in = op.make_field("in");
+  fill_gaussian(in, rng);
+  const double inf = std::numeric_limits<double>::infinity();
+  // Sites on and off the faces, in different slices.
+  for (const auto& [r, s, s5] : {std::array<int, 3>{0, 0, 0},
+                                 std::array<int, 3>{3, 5, 1},
+                                 std::array<int, 3>{9, 15, 2}}) {
+    double* p = in.site(r, s) + s5 * kDoublesPerSpinor;
+    p[0] = p[1] = inf;     // spin 0, colour 0
+    p[20] = p[21] = -inf;  // spin 3, colour 1
+  }
+  expect_dwf_matches_reference(rig, gauge, op, in, true);
 }
 
 }  // namespace

@@ -6,7 +6,8 @@
 // touches the action pool not at all.  Neither the per-event std::function
 // allocation nor a per-frame pool block, deque node or callback may creep
 // back in anywhere on the hot path (actions, queue buckets, outboxes, shard
-// heaps, the SCU/HSSL link path).
+// heaps, the SCU/HSSL link path).  A timed fault-injector BER spike must not
+// touch the action pool either.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -14,6 +15,7 @@
 #include <new>
 #include <vector>
 
+#include "fault/fault.h"
 #include "net/mesh_net.h"
 #include "scu/packet.h"
 #include "sim/engine.h"
@@ -316,6 +318,42 @@ TEST(AllocGate, LinkPathTwoThreadsAllocatesNothingPerFrame) {
 
 TEST(AllocGate, LinkPathFourThreadsAllocatesNothingPerFrame) {
   expect_link_path_alloc_free(4);
+}
+
+// --- Fault injection: a timed BER spike --------------------------------------
+
+TEST(AllocGate, TimedBerSpikeTakesNoActionPoolBlock) {
+  net::MeshConfig cfg;
+  cfg.shape.extent = {2, 2, 1, 1, 1, 1};
+  cfg.hssl.training_cycles = 32;
+  Engine engine({.threads = 1,
+                 .lookahead = static_cast<Cycle>(scu::min_frame_bits()) +
+                              cfg.hssl.wire_delay_cycles,
+                 .num_nodes = cfg.shape.volume()});
+  net::MeshNet mesh(&engine, cfg);
+  mesh.power_on();
+  engine.run_until_idle();
+  const NodeId node{1};
+  const torus::LinkIndex link{2};
+  const double clean = mesh.wire(node, link).bit_error_rate();
+  fault::FaultInjector injector(&mesh);
+  fault::FaultPlan plan;
+  const Cycle at = engine.now() + 10;
+  plan.ber_spike(at, node, link, 1e-4, /*duration=*/100);
+
+  const detail::ActionAllocStats before = detail::action_alloc_stats();
+  injector.arm(plan);
+  engine.run_until(at + 50);
+  EXPECT_EQ(mesh.wire(node, link).bit_error_rate(), 1e-4);
+  engine.run_until_idle();
+  const detail::ActionAllocStats after = detail::action_alloc_stats();
+  EXPECT_EQ(mesh.wire(node, link).bit_error_rate(), clean);
+  EXPECT_EQ(injector.injected(), 1u);
+  // Arming and restoring are inline actions: no pool block, no freelist
+  // hit, no oversize allocation.
+  EXPECT_EQ(after.pool_blocks - before.pool_blocks, 0u);
+  EXPECT_EQ(after.pool_reuses - before.pool_reuses, 0u);
+  EXPECT_EQ(after.oversize_allocs - before.oversize_allocs, 0u);
 }
 
 }  // namespace

@@ -430,7 +430,7 @@ TEST(GaugeField, HeatbathIsDistributionInvariant) {
 }  // namespace
 }  // namespace qcdoc::lattice
 
-#include "lattice/observables.h"
+#include "observables.h"
 
 namespace qcdoc::lattice {
 namespace {
