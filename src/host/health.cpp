@@ -187,8 +187,7 @@ void HealthMonitor::report_external_failure(NodeId n,
 
 HealthMonitor::State HealthMonitor::capture_state() const {
   State st;
-  st.health.reserve(health_.size());
-  for (const NodeHealth h : health_) st.health.push_back(static_cast<u8>(h));
+  st.health = health_;
   st.resend_base = resend_base_;
   st.recv_err_base = recv_err_base_;
   st.mem_corrected_base = mem_corrected_base_;
@@ -203,9 +202,7 @@ bool HealthMonitor::restore_state(const State& state) {
       state.mem_corrected_base.size() != mem_corrected_base_.size()) {
     return false;
   }
-  for (std::size_t i = 0; i < health_.size(); ++i) {
-    health_[i] = static_cast<NodeHealth>(state.health[i]);
-  }
+  health_ = state.health;
   resend_base_ = state.resend_base;
   recv_err_base_ = state.recv_err_base;
   mem_corrected_base_ = state.mem_corrected_base;

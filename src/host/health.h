@@ -114,7 +114,7 @@ class HealthMonitor {
   /// into a snapshot, so the first post-restore sweep judges the same
   /// interval it would have judged uninterrupted.
   struct State {
-    std::vector<u8> health;  ///< NodeHealth per node
+    std::vector<NodeHealth> health;  ///< per node
     std::vector<u64> resend_base;
     std::vector<u64> recv_err_base;
     std::vector<u64> mem_corrected_base;

@@ -41,6 +41,20 @@ std::string sanitize_stream(const std::string& name) {
   return out;
 }
 
+constexpr snapshot::SectionSpec kJobSection{snapshot::kSecJob, 1, 0};
+
+// The JOB section's layout: persist_checkpoint writes it and
+// try_resume_from_store reads it back.
+template <class IO>
+snapshot::Status job_fields(IO& io, std::string& name, u64& step,
+                            Cycle& cycles, std::vector<u8>& checkpoint) {
+  io.field(name);
+  io.field(step);
+  io.field(cycles);
+  io.field(checkpoint);
+  return io.finish();
+}
+
 }  // namespace
 
 JobScheduler::JobScheduler(Qdaemon* qd, SchedulerConfig cfg)
@@ -356,12 +370,9 @@ bool JobScheduler::persist_checkpoint(Job& j) {
   if (cfg_.snapshot_dir.empty()) return true;  // in-memory migration only
   snapshot::SnapshotStore store = store_for(j);
   snapshot::SnapshotFile file;
-  snapshot::ByteSink sink;
-  sink.put_string(j.spec.name);
-  sink.put_u64(j.step);
-  sink.put_u64(j.cycles_run);
-  sink.put_string(std::string(j.checkpoint.begin(), j.checkpoint.end()));
-  file.add_section(snapshot::kSecJob, std::move(sink));
+  file.write_section(kJobSection, [&](auto& io) {
+    return job_fields(io, j.spec.name, j.step, j.cycles_run, j.checkpoint);
+  });
   const snapshot::Status st = store.save(&file);
   if (!st) {
     QCDOC_WARN << "scheduler: job '" << j.spec.name
@@ -376,14 +387,15 @@ void JobScheduler::try_resume_from_store(Job& j) {
   snapshot::SnapshotStore store = store_for(j);
   snapshot::SnapshotFile file;
   if (!store.load_latest(&file)) return;  // nothing durable: fresh start
-  std::optional<snapshot::ByteSource> src;
-  if (!file.open(snapshot::kSecJob, &src)) return;
-  std::string name, blob;
-  u64 step = 0, cycles = 0;
-  if (!src->get_string(&name) || name != j.spec.name) return;
-  if (!src->get_u64(&step) || !src->get_u64(&cycles)) return;
-  if (!src->get_string(&blob) || !src->expect_exhausted()) return;
-  j.checkpoint.assign(blob.begin(), blob.end());
+  std::string name;
+  u64 step = 0;
+  Cycle cycles = 0;
+  std::vector<u8> checkpoint;
+  const snapshot::Status read = file.read_section(kJobSection, [&](auto& io) {
+    return job_fields(io, name, step, cycles, checkpoint);
+  });
+  if (!read || name != j.spec.name) return;
+  j.checkpoint = std::move(checkpoint);
   j.have_checkpoint = !j.checkpoint.empty();
   if (!j.have_checkpoint) return;  // a step-0 save resumes as a fresh start
   j.resume_pending = true;

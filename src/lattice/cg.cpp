@@ -94,6 +94,23 @@ CgResult cg_run(DiracOperator& op, DistField& x, DistField& b,
   return result;
 }
 
+constexpr snapshot::SectionSpec kSolverSection{snapshot::kSecSolver, 1, 0};
+
+// The SOLVER section's layout, run over a ByteSink to encode and over a
+// ByteSource to decode.
+template <class IO>
+snapshot::Status checkpoint_fields(IO& io, CgCheckpoint& ck) {
+  io.field(ck.iterations);
+  io.field(ck.reliable_updates);
+  io.field(ck.rsq);
+  io.field(ck.rhs_norm2);
+  io.field(ck.restarts);
+  io.field(ck.audits);
+  io.field(ck.audit_failures);
+  io.field(ck.mem_checks);
+  return io.finish();
+}
+
 }  // namespace
 
 CgWorkspace CgWorkspace::make(DiracOperator& op) {
@@ -106,35 +123,15 @@ CgWorkspace CgWorkspace::make(DiracOperator& op) {
 }
 
 void encode_checkpoint(const CgCheckpoint& ck, snapshot::SnapshotFile* file) {
-  snapshot::ByteSink sink;
-  sink.put_u32(static_cast<u32>(ck.iterations));
-  sink.put_u32(static_cast<u32>(ck.reliable_updates));
-  sink.put_double(ck.rsq);
-  sink.put_double(ck.rhs_norm2);
-  sink.put_u32(static_cast<u32>(ck.restarts));
-  sink.put_u64(ck.audits);
-  sink.put_u64(ck.audit_failures);
-  sink.put_u64(ck.mem_checks);
-  file->add_section(snapshot::kSecSolver, std::move(sink));
+  CgCheckpoint fields = ck;
+  file->write_section(kSolverSection,
+                      [&](auto& io) { return checkpoint_fields(io, fields); });
 }
 
 snapshot::Status decode_checkpoint(const snapshot::SnapshotFile& file,
                                    CgCheckpoint* ck) {
-  std::optional<snapshot::ByteSource> src;
-  if (snapshot::Status s = file.open(snapshot::kSecSolver, &src); !s) return s;
-  u32 iterations = 0, reliable_updates = 0, restarts = 0;
-  if (snapshot::Status s = src->get_u32(&iterations); !s) return s;
-  if (snapshot::Status s = src->get_u32(&reliable_updates); !s) return s;
-  if (snapshot::Status s = src->get_double(&ck->rsq); !s) return s;
-  if (snapshot::Status s = src->get_double(&ck->rhs_norm2); !s) return s;
-  if (snapshot::Status s = src->get_u32(&restarts); !s) return s;
-  if (snapshot::Status s = src->get_u64(&ck->audits); !s) return s;
-  if (snapshot::Status s = src->get_u64(&ck->audit_failures); !s) return s;
-  if (snapshot::Status s = src->get_u64(&ck->mem_checks); !s) return s;
-  ck->iterations = static_cast<int>(iterations);
-  ck->reliable_updates = static_cast<int>(reliable_updates);
-  ck->restarts = static_cast<int>(restarts);
-  return src->expect_exhausted();
+  return file.read_section(kSolverSection,
+                           [&](auto& io) { return checkpoint_fields(io, *ck); });
 }
 
 CgResult cg_solve(DiracOperator& op, DistField& x, DistField& b,

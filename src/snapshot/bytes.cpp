@@ -39,9 +39,9 @@ void ByteSink::put_u64_span(std::span<const u64> v) {
   for (const u64 w : v) put_u64(w);
 }
 
-void ByteSink::put_double_span(std::span<const double> v) {
-  put_u64(v.size());
-  for (const double d : v) put_double(d);
+void ByteSink::field(std::span<const u8> v) {
+  put_u32(static_cast<u32>(v.size()));
+  put_raw(v);
 }
 
 Status ByteSource::need(std::size_t n, const char* what) {
@@ -70,12 +70,6 @@ Status ByteSource::get_u8(u8* out) {
   return Status::good();
 }
 
-Status ByteSource::get_u16(u16* out) {
-  if (Status s = need(2, "u16"); !s) return s;
-  *out = static_cast<u16>(get_le(2));
-  return Status::good();
-}
-
 Status ByteSource::get_u32(u32* out) {
   if (Status s = need(4, "u32"); !s) return s;
   *out = static_cast<u32>(get_le(4));
@@ -85,13 +79,6 @@ Status ByteSource::get_u32(u32* out) {
 Status ByteSource::get_u64(u64* out) {
   if (Status s = need(8, "u64"); !s) return s;
   *out = get_le(8);
-  return Status::good();
-}
-
-Status ByteSource::get_i64(i64* out) {
-  u64 v = 0;
-  if (Status s = get_u64(&v); !s) return s;
-  *out = static_cast<i64>(v);
   return Status::good();
 }
 
@@ -131,19 +118,32 @@ Status ByteSource::get_u64_vec(std::vector<u64>* out) {
   return Status::good();
 }
 
-Status ByteSource::get_double_vec(std::vector<double>* out) {
-  u64 n = 0;
-  if (Status s = get_u64(&n); !s) return s;
-  if (n > remaining() / 8) {
-    return Status::fail(context_ + ": double vector length " +
-                        std::to_string(n) + " exceeds remaining payload");
+void ByteSource::field(int& v) {
+  u32 raw = 0;
+  field(raw);
+  if (ok()) v = static_cast<int>(raw);
+}
+
+void ByteSource::field(std::vector<u8>& v) {
+  std::string raw;
+  field(raw);
+  if (ok()) v.assign(raw.begin(), raw.end());
+}
+
+void ByteSource::field(std::span<const u64>& v) {
+  field(words_);
+  v = ok() ? std::span<const u64>(words_) : std::span<const u64>();
+}
+
+bool ByteSource::in_range(u64 value, u64 last, const char* name) {
+  if (!ok()) return false;
+  if (value > last) {
+    status_ = Status::fail(context_ + ": " + name + " " +
+                           std::to_string(value) + " outside [0, " +
+                           std::to_string(last) + "]");
+    return false;
   }
-  out->resize(n);
-  for (u64 i = 0; i < n; ++i) {
-    const u64 bits = get_le(8);
-    std::memcpy(&(*out)[i], &bits, sizeof(double));
-  }
-  return Status::good();
+  return true;
 }
 
 Status ByteSource::expect_exhausted() const {

@@ -181,6 +181,17 @@ Status SnapshotFile::open(const std::string& tag,
   return Status::good();
 }
 
+Status SnapshotFile::open(const SectionSpec& spec,
+                          std::optional<ByteSource>* out) const {
+  const Section* s = find(spec.tag);
+  if (s != nullptr && s->version != spec.version) {
+    return Status::fail("section " + s->tag + " version skew: file has v" +
+                        std::to_string(s->version) + ", reader expects v" +
+                        std::to_string(spec.version));
+  }
+  return open(spec.tag, out);
+}
+
 std::vector<u8> SnapshotFile::encode() const {
   const std::size_t table_bytes = sections_.size() * kTableEntryBytes + 4;
   std::size_t payload_bytes = 0;
