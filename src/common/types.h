@@ -62,11 +62,7 @@ struct HwParams {
 
   // --- Derived -----------------------------------------------------------
   double peak_flops_per_node() const { return cpu_clock_hz * flops_per_cycle; }
-  double cycle_seconds() const { return 1.0 / cpu_clock_hz; }
   double seconds(Cycle c) const { return static_cast<double>(c) / cpu_clock_hz; }
-  Cycle cycles_from_seconds(double s) const {
-    return static_cast<Cycle>(s * cpu_clock_hz + 0.5);
-  }
   /// Serial-link payload efficiency: 64 data bits per 72-bit packet.
   double link_packet_efficiency() const {
     return static_cast<double>(scu_data_bits) /

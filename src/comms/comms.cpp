@@ -44,14 +44,6 @@ void Communicator::post_shift(int ldim, Dir dir,
   }
 }
 
-void Communicator::post_shift_uniform(int ldim, Dir dir,
-                                      const scu::DmaDescriptor& send,
-                                      const scu::DmaDescriptor& recv) {
-  std::vector<scu::DmaDescriptor> sends(nodes_.size(), send);
-  std::vector<scu::DmaDescriptor> recvs(nodes_.size(), recv);
-  post_shift(ldim, dir, sends, recvs);
-}
-
 void Communicator::store_shift(int ldim, Dir dir,
                                const scu::DmaDescriptor& send,
                                const scu::DmaDescriptor& recv) {

@@ -48,11 +48,6 @@ class Communicator {
                   std::span<const scu::DmaDescriptor> send_descs,
                   std::span<const scu::DmaDescriptor> recv_descs);
 
-  /// Same descriptors on every rank (uniform layouts, the common case).
-  void post_shift_uniform(int ldim, torus::Dir dir,
-                          const scu::DmaDescriptor& send,
-                          const scu::DmaDescriptor& recv);
-
   /// Store shift descriptors in the SCUs without starting them...
   void store_shift(int ldim, torus::Dir dir, const scu::DmaDescriptor& send,
                    const scu::DmaDescriptor& recv);

@@ -1,6 +1,5 @@
 #include "host/qdaemon.h"
 
-#include <algorithm>
 #include <cassert>
 
 #include "common/log.h"
@@ -138,16 +137,6 @@ WatchdogReport ScuWatchdog::check() {
     }
   }
   return rep;
-}
-
-void ScuWatchdog::watch_for(Cycle duration) {
-  sim::Engine& engine = machine_->engine();
-  const Cycle end = engine.now() + duration;
-  while (engine.now() < end) {
-    const Cycle next = std::min(end, engine.now() + cfg_.check_period_cycles);
-    engine.run_until(next);
-    check();
-  }
 }
 
 void ScuWatchdog::arm(Cycle duration) {

@@ -70,9 +70,9 @@ struct WatchdogReport {
 /// never flagged.
 ///
 /// Two operating modes:
-///   - check()/watch_for(): the synchronous diagnostic path.  The host
-///     reads live node state directly, which is only legal with the engine
-///     stopped between runs.
+///   - check(): the synchronous diagnostic path.  The host reads live node
+///     state directly, which is only legal with the engine stopped between
+///     runs.
 ///   - arm(): the bounded-affinity monitoring path (DESIGN.md, "Host events
 ///     and the bounded-affinity contract").  Every check period each node
 ///     samples its OWN receive counters and send-drain bits with an event
@@ -90,9 +90,6 @@ class ScuWatchdog {
   /// Inspect every node now.  Flagging is sticky: a node is reported to
   /// the health monitor at most once.
   WatchdogReport check();
-
-  /// Run the engine for `duration` cycles, checking every check_period.
-  void watch_for(Cycle duration);
 
   /// Schedule the event-driven sampling mode for `duration` cycles from
   /// now, then return immediately; the caller runs the engine (typically by
@@ -197,7 +194,6 @@ class Qdaemon {
   /// unprobed, and nodes the probe quarantines stay out of the pool.
   /// Synchronous: when this returns, the surviving nodes are allocatable.
   void release_partition(const PartitionHandle& h);
-  int active_partitions() const { return static_cast<int>(partitions_.size()); }
   int free_nodes() const;
 
   /// True while `h` refers to a live allocation that has not been revoked
@@ -216,7 +212,6 @@ class Qdaemon {
   /// usable, just marginal); the job scheduler turns it on so migrated jobs
   /// land on clean hardware.
   void set_allocation_excludes_degraded(bool on) { exclude_degraded_ = on; }
-  bool allocation_excludes_degraded() const { return exclude_degraded_; }
 
   /// Run an application (SPMD, expressed against the communications API) on
   /// a partition; output lines are returned as the qcsh data stream.

@@ -43,12 +43,7 @@ CloverDirac::CloverDirac(FieldOps* ops, const GlobalGeometry* geom,
     : DiracOperator(ops, geom),
       gauge_(gauge),
       params_(params),
-      hopping_(ops, geom, gauge,
-               WilsonParams{.kappa = params.kappa,
-                            .overlap_comm = params.overlap_comm,
-                            .precision = params.single_precision
-                                             ? Precision::kSingle
-                                             : Precision::kDouble}),
+      hopping_(ops, geom, gauge, WilsonParams{.kappa = params.kappa}),
       clover_(&ops->comm(), geom, 2 * kBlockDoubles, "clover") {
   compute_clover_term();
 }
@@ -176,7 +171,6 @@ void CloverDirac::apply_clover_term(DistField& out, const DistField& in) {
 
 cpu::KernelProfile CloverDirac::clover_profile() const {
   const double v = geom_->local().volume();
-  const double bf = params_.single_precision ? 0.5 : 1.0;
   cpu::KernelProfile p;
   p.name = "clover.term";
   // Two Hermitian 6x6 complex matvecs per site: the assembly streams the
@@ -184,8 +178,8 @@ cpu::KernelProfile CloverDirac::clover_profile() const {
   // fused with the -kappa*Dslash accumulation (2 flops/double on 24).
   p.fmadd_flops = v * (432 + 48);
   p.other_flops = v * 96;
-  p.load_bytes = v * (2 * kBlockDoubles + 24 + 24) * 8 * bf;
-  p.store_bytes = v * 24 * 8 * bf;
+  p.load_bytes = v * (2 * kBlockDoubles + 24 + 24) * 8;
+  p.store_bytes = v * 24 * 8;
   const double traffic = p.load_bytes + p.store_bytes;
   if (clover_.body_region() == memsys::Region::kDdr) {
     p.ddr_bytes = traffic;
@@ -226,9 +220,7 @@ void CloverDirac::apply(DistField& out, DistField& in) {
     }
   }
   const auto p = clover_profile();
-  ops_->account_kernel(p, geom_->ranks(),
-                       params_.single_precision ? Precision::kSingle
-                                                : Precision::kDouble);
+  ops_->account_kernel(p, geom_->ranks(), Precision::kDouble);
   ops_->bsp().compute(ops_->cpu().kernel_cycles(p));
 }
 

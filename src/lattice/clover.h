@@ -20,8 +20,6 @@ namespace qcdoc::lattice {
 struct CloverParams {
   double kappa = 0.124;
   double csw = 1.0;
-  bool overlap_comm = false;
-  bool single_precision = false;
 };
 
 class CloverDirac : public DiracOperator {

@@ -38,12 +38,6 @@ class DiracOperator {
     return DistField(&ops_->comm(), geom_, site_doubles(), label);
   }
 
-  /// This operator's communication buffers.
-  HaloSet make_halo_set(const std::string& label) const {
-    return HaloSet(&ops_->comm(), geom_, halo_doubles(), halo_slabs(),
-                   halo_slabs_minus(), label);
-  }
-
   /// out = M in.  `in` is non-const because its halo scratch buffers are
   /// packed and exchanged; its body is not modified.
   virtual void apply(DistField& out, DistField& in) = 0;

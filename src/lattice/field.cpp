@@ -147,16 +147,6 @@ void HaloSet::post_all_shifts() {
   for (int mu = 0; mu < kNd; ++mu) post_shift(mu);
 }
 
-double HaloSet::bytes_per_node() const {
-  double bytes = 0;
-  for (int mu = 0; mu < kNd; ++mu) {
-    if (!dim_is_distributed(mu)) continue;
-    bytes += geom_->local().face_volume(mu) * halo_doubles_ *
-             (halo_slabs_[0] + halo_slabs_[1]) * 8.0;
-  }
-  return bytes;
-}
-
 // --- serialization ---------------------------------------------------------
 
 void store_su3(double* p, const Su3Matrix& u) {

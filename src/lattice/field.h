@@ -111,9 +111,6 @@ class HaloSet {
     return geom_->nodes_in_dim(mu) > 1;
   }
 
-  /// Bytes sent per node for one full exchange (all distributed dims).
-  double bytes_per_node() const;
-
  private:
   struct RankStorage {
     // [mu][dir(0:+,1:-)]

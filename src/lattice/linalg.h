@@ -76,8 +76,6 @@ class FieldOps {
 
   /// Total flops this FieldOps has accounted (for efficiency reports).
   double flops() const { return flops_; }
-  void add_external_flops(double f) { flops_ += f; }
-  void reset_flops() { flops_ = 0; }
 
   /// Running flop/byte ledger split by storage precision.  Vector ops feed
   /// it automatically; Dirac operators feed it via account_kernel.  Solvers

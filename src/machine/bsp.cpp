@@ -52,11 +52,4 @@ void BspRunner::global_op(Cycle cycles) {
   global_cycles_ += static_cast<double>(cycles);
 }
 
-void BspRunner::reset_accounting() {
-  compute_cycles_ = 0;
-  comm_cycles_ = 0;
-  hidden_cycles_ = 0;
-  global_cycles_ = 0;
-}
-
 }  // namespace qcdoc::machine

@@ -53,7 +53,6 @@ class BspRunner {
   double total_cycles() const {
     return compute_cycles_ + comm_cycles_ + global_cycles_;
   }
-  void reset_accounting();
 
  private:
   Machine* machine_;

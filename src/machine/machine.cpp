@@ -30,7 +30,6 @@ Machine::Machine(const MachineConfig& cfg) : cfg_(cfg) {
       .num_nodes = mesh_cfg.shape.volume()});
 
   mesh_ = std::make_unique<net::MeshNet>(engine_.get(), mesh_cfg);
-  package_map_ = std::make_unique<PackageMap>(mesh_->topology());
 }
 
 PackagingPlan Machine::packaging() const {

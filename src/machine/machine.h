@@ -57,7 +57,6 @@ class Machine {
 
   int num_nodes() const { return mesh_->num_nodes(); }
   PackagingPlan packaging() const;
-  const PackageMap& package_map() const { return *package_map_; }
 
   /// Power on all serial links and run the engine until every HSSL has
   /// trained.  Returns the training time in cycles.  Assumes healthy
@@ -89,7 +88,6 @@ class Machine {
   memsys::MemTiming mem_timing_;
   std::unique_ptr<sim::Engine> engine_;
   std::unique_ptr<net::MeshNet> mesh_;
-  std::unique_ptr<PackageMap> package_map_;
 };
 
 }  // namespace qcdoc::machine

@@ -81,8 +81,4 @@ PackageLocation PackageMap::locate(NodeId n) const {
   return loc;
 }
 
-bool PackageMap::same_motherboard(NodeId a, NodeId b) const {
-  return mb_index(a) == mb_index(b);
-}
-
 }  // namespace qcdoc::machine

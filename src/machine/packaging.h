@@ -62,9 +62,6 @@ class PackageMap {
 
   PackageLocation locate(NodeId n) const;
   int motherboards() const { return num_motherboards_; }
-  /// Nodes on the same motherboard share all Ethernet hub hardware and the
-  /// global-clock distribution.
-  bool same_motherboard(NodeId a, NodeId b) const;
 
  private:
   int mb_index(NodeId n) const;

@@ -62,7 +62,6 @@ class NodeMemory {
 
   u64 edram_words_used() const { return edram_next_; }
   u64 ddr_words_used() const { return ddr_next_ - cfg_.edram_words; }
-  u64 edram_words_free() const { return cfg_.edram_words - edram_next_; }
   const MemConfig& config() const { return cfg_; }
 
   Region region_of(u64 word_addr) const {

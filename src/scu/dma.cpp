@@ -106,7 +106,6 @@ void RecvDma::on_word(u64 word) {
       QCDOC_AFFSAN_CHECK(memory_);  // what write_word would check
       dest_[addr - dest_base_] = word;
     }
-    ++landed_;
     last_landed_at_ = engine_.now();
     if (index == 0) first_landed_at_ = engine_.now();
     if (last) {

@@ -90,7 +90,6 @@ class RecvDma {
   void start(const DmaDescriptor& desc, sim::SmallFn<void()> on_complete = {});
 
   [[nodiscard]] bool active() const { return active_; }
-  u64 words_landed() const { return landed_; }
   /// Simulated time the first word of the current/last transfer reached
   /// memory (for latency measurements).
   Cycle first_word_landed_at() const { return first_landed_at_; }
@@ -112,7 +111,6 @@ class RecvDma {
   u64 dest_base_ = 0;
   bool active_ = false;
   u64 next_index_ = 0;
-  u64 landed_ = 0;
   Cycle first_landed_at_ = 0;
   Cycle last_landed_at_ = 0;
   ActiveCounter* active_counter_ = nullptr;

@@ -34,7 +34,6 @@ void Scu::attach_outgoing_wire(LinkIndex l, hssl::Hssl* wire) {
   slot->set_on_link_fault([this, l] {
     faulted_links_ |= 1u << l.value;
     if (stats_) stats_->add("scu.node_link_faults");
-    if (link_fault_handler_) link_fault_handler_(l);
   });
   send_dma_[static_cast<std::size_t>(l.value)] =
       std::make_unique<SendDma>(engine_, memory_, slot.get(), cfg_.dma,
@@ -103,10 +102,6 @@ void Scu::send_supervisor(LinkIndex l, u64 word) {
 
 void Scu::set_supervisor_handler(sim::SmallFn<void(LinkIndex, u64)> fn) {
   supervisor_handler_ = std::move(fn);
-}
-
-void Scu::set_link_fault_handler(sim::SmallFn<void(LinkIndex)> fn) {
-  link_fault_handler_ = std::move(fn);
 }
 
 void Scu::clear_link_fault(LinkIndex l) {

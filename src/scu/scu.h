@@ -67,9 +67,6 @@ class Scu {
   void set_supervisor_handler(sim::SmallFn<void(torus::LinkIndex, u64)> fn);
 
   // --- Link-fault escalation ----------------------------------------------
-  /// Handler invoked when a send side gives up on its link (the model of
-  /// the link-fault supervisor interrupt raised at this node's CPU).
-  void set_link_fault_handler(sim::SmallFn<void(torus::LinkIndex)> fn);
   /// Bit i set: our outgoing link i has been declared faulted.
   u32 faulted_links() const { return faulted_links_; }
   /// Clear the faulted flag for link `l` after a successful wire retrain,
@@ -102,7 +99,6 @@ class Scu {
   std::array<std::optional<DmaDescriptor>, torus::kLinksPerNode> stored_send_;
   std::array<std::optional<DmaDescriptor>, torus::kLinksPerNode> stored_recv_;
   sim::SmallFn<void(torus::LinkIndex, u64)> supervisor_handler_;
-  sim::SmallFn<void(torus::LinkIndex)> link_fault_handler_;
   u32 faulted_links_ = 0;
 };
 

@@ -434,7 +434,6 @@ class EngineRef {
 
   Engine* get() const { return engine_; }
   Affinity affinity() const { return affinity_; }
-  void set_affinity(Affinity a) { affinity_ = a; }
 
   Cycle now() const { return engine_->now(); }
   void schedule(Cycle delay, Action fn) const {

@@ -20,6 +20,9 @@ namespace fs = std::filesystem;
 
 namespace {
 
+/// Generations kept on disk: the current one and the last known good.
+constexpr std::size_t kKeepGenerations = 2;
+
 Status write_all(int fd, std::span<const u8> bytes) {
   std::size_t done = 0;
   while (done < bytes.size()) {
@@ -118,7 +121,7 @@ u64 SnapshotStore::latest_generation() const {
 
 void SnapshotStore::prune() const {
   auto gens = list();
-  while (static_cast<int>(gens.size()) > keep_generations_) {
+  while (gens.size() > kKeepGenerations) {
     std::error_code ec;
     fs::remove(gens.front().path, ec);
     gens.erase(gens.begin());

@@ -7,8 +7,8 @@
 // set intact or the new file fully durable, never a half-written visible
 // snapshot.  Readers walk generations newest-first and take the first one
 // that fully verifies, reporting what was wrong with every generation they
-// skipped.  Retention keeps the newest `keep_generations` files (default 2:
-// current + last known good).
+// skipped.  Retention keeps the newest two files: the current generation
+// and the last known good one.
 //
 // Test hook: when the environment variable QCDOC_SNAPSHOT_KILL_AT_BYTE is
 // set, save() writes only that many bytes of the *temp* file, fsyncs, and
@@ -52,8 +52,6 @@ class SnapshotStore {
   /// Highest generation number on disk (0 when none).
   u64 latest_generation() const;
 
-  void set_keep_generations(int n) { keep_generations_ = n < 1 ? 1 : n; }
-
   const std::string& dir() const { return dir_; }
 
  private:
@@ -62,7 +60,6 @@ class SnapshotStore {
 
   std::string dir_;
   std::string stream_;
-  int keep_generations_ = 2;
 };
 
 /// Read a whole file into memory.  Shared by the store and tools/qsnap.

@@ -194,10 +194,13 @@ void expect_steady_state_alloc_free(Engine& eng, const char* what) {
   run_round(eng);
   EXPECT_EQ(heap_allocs() - before, 0u)
       << what << ": steady-state rounds must not allocate";
-  EXPECT_EQ(detail::action_alloc_stats().heap_blocks() -
-                pool_before.heap_blocks(),
-            0u)
+  const detail::ActionAllocStats pool_after = detail::action_alloc_stats();
+  EXPECT_EQ(pool_after.heap_blocks() - pool_before.heap_blocks(), 0u)
       << what << ": action pool must not grow in steady state";
+  // A warm freelist would hide an action that outgrew the inline buffer:
+  // it takes the pool lock on every event without growing the pool.
+  EXPECT_EQ(pool_after.pool_reuses - pool_before.pool_reuses, 0u)
+      << what << ": every steady-state action must fit EventFn's buffer";
 }
 
 EngineConfig gate_config(int threads) {
