@@ -29,9 +29,9 @@ int threads_from_env() {
 
 namespace {
 /// Set while a thread is executing inside a parallel window of some engine;
-/// routes that thread's schedules to its private outbox.  Written on window
-/// entry, cleared on exit; the window barriers order every access, so no
-/// state leaks across runs.
+/// routes that thread's schedules to its own shard's queues or its private
+/// outbox.  Written on window entry, cleared on exit; the window barriers
+/// order every access, so no state leaks across runs.
 // qcdoc-lint: allow(mutable-static) window-scoped worker routing, see above
 thread_local Engine* t_window_engine = nullptr;
 // qcdoc-lint: allow(mutable-static) window-scoped worker routing, see above
@@ -158,13 +158,14 @@ void Engine::schedule_at_on(Affinity dest, Cycle t, Action fn) {
   QueuedEvent ev{t, src, ranks_[src].scheduled++, std::move(fn)};
   if (t_window_engine == this) {
     // Inside a parallel window: the seq counter of `src` belongs to the
-    // executing worker, as does the destination queue iff it is our own
-    // rank.  Everything else must clear the window and goes through the
-    // outbox -- including host-bound events, which otherwise could land
-    // behind node events this window already executed.
+    // executing worker, as do the queues of every node rank in its shard
+    // and that shard's heap.  Everything else must clear the window and
+    // goes through the outbox -- including host-bound events, which
+    // otherwise could land behind node events this window already executed.
     auto* slot = static_cast<WorkerSlot*>(t_slot);
     ++slot->window_pushed;
     if (dest_rank == src) {
+      // process_shard() re-enters the running rank in the heap itself.
       ranks_[dest_rank].q.push(std::move(ev));
       return;
     }
@@ -174,6 +175,14 @@ void Engine::schedule_at_on(Affinity dest, Cycle t, Action fn) {
           "(t=" + std::to_string(t) + " < window end " +
           std::to_string(win_end_) + ")");
     }
+    if (dest_rank != 0 && &slots_[rank_owner_[dest_rank]] == slot) {
+      // Same shard: this worker's own heap takes the new head, which lands
+      // at or after the window end, so this window's loop leaves it be.
+      if (ranks_[dest_rank].q.push(std::move(ev))) {
+        shard_push_entry(dest_rank, t);
+      }
+      return;
+    }
     slot->outbox.emplace_back(dest_rank, std::move(ev));
     return;
   }
@@ -181,7 +190,7 @@ void Engine::schedule_at_on(Affinity dest, Cycle t, Action fn) {
   push_serial(dest_rank, std::move(ev));
 }
 
-void Engine::push_serial(u32 dest_rank, QueuedEvent ev) {
+void Engine::push_serial(u32 dest_rank, QueuedEvent&& ev) {
   const Cycle t = ev.time;
   if (ranks_[dest_rank].q.push(std::move(ev))) {
     // The event became its rank's new head: cover it with a shard-heap
@@ -395,8 +404,8 @@ void Engine::run_window_parallel(Cycle end) {
   for (std::size_t w = 0; w < slots_.size(); ++w) {
     WorkerSlot& slot = slots_[w];
     for (auto& [dest, ev] : slot.outbox) {
-      // Every cross-rank schedule waits in the outbox; only those bound for
-      // a rank another shard owns actually cross shards.
+      // The outbox holds host-bound and cross-shard schedules; a host-bound
+      // one from shard 0 is the only kind that stays in its shard.
       if (rank_owner_[dest] != w) ++cross_shard_events_;
       const Cycle t = ev.time;
       if (ranks_[dest].q.push(std::move(ev))) shard_push_entry(dest, t);

@@ -36,10 +36,13 @@
 //     the model guarantees no cross-node effect sooner than L cycles (the
 //     HSSL physics: a frame delivery costs a full serialization of at least
 //     the 16-bit minimum frame plus the wire time of flight, so
-//     L = min_frame_bits + wire_delay_cycles).  Cross-node schedules made
-//     inside a window are buffered in per-worker outboxes and merged at the
-//     barrier; every queue orders by the key, so the merge order is
-//     irrelevant.
+//     L = min_frame_bits + wire_delay_cycles).  A node-to-node schedule
+//     made inside a window onto a rank of the executing worker's own shard
+//     goes straight into that rank's queue (and, as its new head, into the
+//     worker's shard heap).  Only host-bound and cross-shard schedules are
+//     buffered in per-worker outboxes and merged at the barrier; every
+//     queue orders by the key, so neither the merge order nor the moment
+//     of the push matters.
 //   - Single-shard fast-forward: only one shard is occupied (an idle
 //     machine with a lone scrubber, a single hot node, one thread).  The
 //     coordinator runs that shard with no barrier at all, as far as
@@ -384,7 +387,7 @@ class Engine {
   void run_window_parallel(Cycle end);
   void process_shard(int w);
   void exec_event(u32 rank, QueuedEvent ev);
-  void push_serial(u32 dest_rank, QueuedEvent ev);
+  void push_serial(u32 dest_rank, QueuedEvent&& ev);
   void worker_main(int w);
 
   EngineConfig cfg_;

@@ -1,5 +1,6 @@
 #include "snapshot/machine_state.h"
 
+#include <limits>
 #include <string>
 
 #include "memsys/scrub.h"
@@ -170,7 +171,8 @@ Status ecc_fields(IO& io, Machine& m) {
     return Status::fail("ECC section node count mismatch");
   }
   for (u32 i = 0; i < n; ++i) {
-    memsys::EccModel& ecc = m.memory(NodeId{i}).ecc();
+    memsys::NodeMemory& mem = m.memory(NodeId{i});
+    memsys::EccModel& ecc = mem.ecc();
     memsys::EccState st = ecc.capture_state();
     io.field(st.counters.upsets);
     io.field(st.counters.corrected);
@@ -188,6 +190,14 @@ Status ecc_fields(IO& io, Machine& m) {
         io.field(f.bit, 63, "ECC flip bit");
         io.field(f.corrupted_value);
         io.field(f.applied);
+        // An applied flip is re-read from storage when its codeword settles,
+        // so its word must lie in one of the node's restored allocations.
+        if (IO::kReading && io.ok() && f.applied &&
+            mem.words_in_one_allocation(f.word_addr, 1).empty()) {
+          return Status::fail("ECC flip word address " +
+                              std::to_string(f.word_addr) + " on node " +
+                              std::to_string(i) + " lies in no allocation");
+        }
       }
     }
     io.count(st.latched);
@@ -311,6 +321,9 @@ Status audit_fields(IO& io, const MachineExtras& extras) {
 
 // --- SERVICE ----------------------------------------------------------------
 
+/// Bits one memory upset can flip: they all land in one 64-bit word.
+constexpr int kMaxUpsetBits = 64;
+
 template <class IO>
 Status service_fields(IO& io, Machine& m, fault::FaultInjector* injector) {
   bool has = injector != nullptr;
@@ -329,7 +342,12 @@ Status service_fields(IO& io, Machine& m, fault::FaultInjector* injector) {
     io.field(e.link.value, torus::kLinksPerNode - 1, "fault link");
     io.field(e.bit_error_rate);
     io.field(e.duration);
-    io.field(e.count);
+    // apply() loops over the count; an upset's flips wrap within one word.
+    io.field(e.count,
+             e.kind == fault::FaultKind::kMemUpset
+                 ? kMaxUpsetBits
+                 : std::numeric_limits<int>::max(),
+             "fault count");
     io.field(e.mem_addr);
     io.field(e.mem_bit, 63, "fault bit");
     io.field(e.mem_addr_is_index);

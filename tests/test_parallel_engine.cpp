@@ -198,6 +198,34 @@ TEST(EngineContract, AdvanceToRefusesToSkipPendingEvents) {
   }
 }
 
+struct PingPongResult {
+  u64 digest;
+  u64 events;
+  std::vector<std::vector<Cycle>> log;  ///< per node, its hit times
+};
+
+/// Two node pairs, (1, 2) and (5, 6), each bouncing one event between its
+/// nodes 50 times at the lookahead distance.
+template <typename E>
+PingPongResult run_ping_pong(E& e) {
+  struct PingPong {
+    E* e;
+    std::vector<std::vector<Cycle>> log =
+        std::vector<std::vector<Cycle>>(8);
+    void hit(Affinity from, Affinity to, int left) {
+      log[from].push_back(e->now());  // only `from`'s events touch its log
+      if (left == 0) return;
+      e->schedule_on(to, kLookahead,
+                     [this, from, to, left] { hit(to, from, left - 1); });
+    }
+  };
+  PingPong p{&e};
+  e.schedule_on(1, 0, [&p] { p.hit(1, 2, 50); });
+  e.schedule_on(5, 3, [&p] { p.hit(5, 6, 50); });
+  e.run_until_idle();
+  return {e.trace_digest(), e.events_executed(), std::move(p.log)};
+}
+
 TEST(ParallelEngine, ReportCountsWindowsAndShards) {
   for (const int threads : {1, 2}) {
     Engine e(config(threads));
@@ -221,26 +249,25 @@ TEST(ParallelEngine, ReportCountsWindowsAndShards) {
     EXPECT_EQ(r.events, e.events_executed());
   }
 
-  // At 2 threads, shard 0 owns the host and nodes 0-2, shard 1 nodes 3-7.
-  // Ping-pong between nodes 0 and 1 and between nodes 5 and 6 is all
-  // cross-rank, so it waits in the outboxes, yet no event crosses shards.
-  struct PingPong {
-    Engine* e;
-    void hit(Affinity from, Affinity to, int left) {
-      if (left == 0) return;
-      e->schedule_on(to, kLookahead,
-                     [this, from, to, left] { hit(to, from, left - 1); });
-    }
-  };
-  Engine e(config(2));
-  PingPong p{&e};
-  e.schedule_on(0, 0, [&p] { p.hit(0, 1, 50); });
-  e.schedule_on(5, 0, [&p] { p.hit(5, 6, 50); });
-  e.run_until_idle();
-  const EngineReport r = e.report();
-  EXPECT_GT(r.windows_parallel, 0u);
-  EXPECT_GT(r.parallel_window_events, 0u);
-  EXPECT_EQ(r.cross_shard_events, 0u);
+  // Nodes 1 and 2 share a shard at 2 and at 4 threads, and so do nodes 5
+  // and 6, on another shard (2 threads: host and nodes 0-2 | nodes 3-7;
+  // 4 threads: host, 0 | 1, 2 | 3, 4 | 5-7).  Ping-pong within each pair is
+  // all cross-rank, so both shards run parallel windows, and every schedule
+  // goes straight into a queue of the executing worker's shard: none
+  // crosses shards, and the order matches the oracle.
+  ReferenceEngine oracle;
+  const PingPongResult ref = run_ping_pong(oracle);
+  for (const int threads : {2, 4}) {
+    Engine e(config(threads));
+    const PingPongResult got = run_ping_pong(e);
+    EXPECT_EQ(got.digest, ref.digest) << threads << " threads";
+    EXPECT_EQ(got.events, ref.events) << threads << " threads";
+    EXPECT_EQ(got.log, ref.log) << threads << " threads";
+    const EngineReport r = e.report();
+    EXPECT_GT(r.windows_parallel, 0u) << threads << " threads";
+    EXPECT_EQ(r.parallel_window_events, r.events) << threads << " threads";
+    EXPECT_EQ(r.cross_shard_events, 0u) << threads << " threads";
+  }
 }
 
 TEST(ParallelEngine, ReportPopulatesBarrierAndActionPoolCounters) {
@@ -369,7 +396,7 @@ TEST(ParallelEngine, MachineBootIsBitIdenticalAcrossThreadCounts) {
 // A seeded random workload on 8 nodes plus the host, run on the engine under
 // test and on the single-heap oracle in lockstep through a seeded mix of
 // step(), run_until(), drain() and run_until_idle() calls.  Delays reach
-// past the 64-cycle calendar wheel, the host schedules equal-time bursts
+// past the 256-cycle calendar wheel, the host schedules equal-time bursts
 // onto several nodes, and node-to-host schedules run at delay 0 where the
 // window rule allows it (1 thread), so step()'s (time, rank) choice, the
 // single-shard host hand-off and drain's stop are compared event by event.
@@ -377,7 +404,7 @@ TEST(ParallelEngine, MachineBootIsBitIdenticalAcrossThreadCounts) {
 // rank, so it cannot see two ranks swapped at one timestamp.
 
 constexpr u32 kOracleNodes = 8;
-constexpr Cycle kMaxDelay = 150;
+constexpr Cycle kMaxDelay = CalendarQueue::kWheelSize + 64;
 
 template <typename E>
 class RandomWorkload {

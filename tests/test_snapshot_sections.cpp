@@ -259,7 +259,8 @@ void expect_rejected(const SnapshotFile& file, const std::string& field) {
 // Byte offsets in the populated capture.
 //   SERVICE: has(1) injected(8) count(8), then the first unfired event --
 //     link_death on node 1, link 2: at(8) kind(1) node(4) link(4) rate(8)
-//     duration(8) count(4) word(8) bit(4).
+//     duration(8) count(4) word(8) bit(4) indexed(1) -- and two more of
+//     those 50 bytes each, the third a two-bit memory upset.
 //   MEMORY: node count(4), then node 0's condition.
 //   HEALTH: count(8), then node 0's classification.
 //   ECC: node count(4), node 0's six counters(48), codeword count(8), its
@@ -269,9 +270,12 @@ void expect_rejected(const SnapshotFile& file, const std::string& field) {
 constexpr std::size_t kServiceKind = 25;
 constexpr std::size_t kServiceNode = 26;
 constexpr std::size_t kServiceLink = 30;
+constexpr std::size_t kServiceCount = 50;
 constexpr std::size_t kServiceBit = 62;
+constexpr std::size_t kServiceUpsetCount = 150;
 constexpr std::size_t kMemoryCondition = 4;
 constexpr std::size_t kHealthNode0 = 8;
+constexpr std::size_t kEccFlipWord = 77;
 constexpr std::size_t kEccFlipBit = 85;
 constexpr std::size_t kEccRegion = 135;
 
@@ -324,6 +328,33 @@ TEST(SnapshotHostile, FaultBitPastTheWordIsRejected) {
   expect_rejected(crafted(kSecService, kServiceBit, {0, 0, 0, 0},
                           {64, 0, 0, 0}),
                   "fault bit 64");
+}
+
+TEST(SnapshotHostile, FaultCountNegativeOrPastTheWordIsRejected) {
+  // apply() loops over the count: 1,000,000 upset bits would run for
+  // minutes inside one event, and the flips wrap at 64 bits anyway.
+  expect_rejected(crafted(kSecService, kServiceUpsetCount, {2, 0, 0, 0},
+                          {0x40, 0x42, 0x0f, 0x00}),
+                  "fault count 1000000");
+  expect_rejected(crafted(kSecService, kServiceUpsetCount, {2, 0, 0, 0},
+                          {65, 0, 0, 0}),
+                  "fault count 65");
+  // -1 travels as 0xffffffff, for every kind.
+  expect_rejected(crafted(kSecService, kServiceUpsetCount, {2, 0, 0, 0},
+                          {0xff, 0xff, 0xff, 0xff}),
+                  "fault count 4294967295");
+  expect_rejected(crafted(kSecService, kServiceCount, {0, 0, 0, 0},
+                          {0xff, 0xff, 0xff, 0xff}),
+                  "fault count 4294967295");
+}
+
+TEST(SnapshotHostile, AppliedEccFlipOutsideEveryAllocationIsRejected) {
+  // Node 0's uncorrectable codeword landed both flips in storage; its
+  // first flip's word moves to 2^48, which no allocation holds.
+  expect_rejected(crafted(kSecEcc, kEccFlipWord,
+                          {0xf4, 0x01, 0, 0, 0, 0, 0, 0},
+                          {0, 0, 0, 0, 0, 0, 1, 0}),
+                  "ECC flip word address 281474976710656");
 }
 
 TEST(SnapshotHostile, EccFlipBitPastTheWordIsRejected) {
