@@ -48,8 +48,6 @@ struct EngineBenchRun {
   u64 events = 0;
   double wall_seconds = 0;
   u64 digest = 0;
-  u64 heap_blocks_steady = 0;  ///< action-pool growth during the measured
-                               ///< steady-state phase (gate: must be 0)
 };
 
 /// Write the engine-scaling measurements as a small JSON document so CI and
@@ -78,12 +76,10 @@ inline void write_engine_bench_json(const char* path,
     std::fprintf(f,
                  "    {\"threads\": %d, "
                  "\"events\": %llu, \"wall_seconds\": %.3f, "
-                 "\"events_per_sec\": %.0f, \"digest\": \"%016llx\", "
-                 "\"heap_blocks_steady\": %llu}%s\n",
+                 "\"events_per_sec\": %.0f, \"digest\": \"%016llx\"}%s\n",
                  r.threads,
                  static_cast<unsigned long long>(r.events), r.wall_seconds,
                  rate, static_cast<unsigned long long>(r.digest),
-                 static_cast<unsigned long long>(r.heap_blocks_steady),
                  i + 1 < runs.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");

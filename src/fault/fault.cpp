@@ -245,8 +245,8 @@ void FaultInjector::apply(const FaultEvent& e) {
       wire.set_bit_error_rate(e.bit_error_rate);
       if (e.duration > 0) {
         const sim::EngineRef host(&mesh_->engine());
-        // Captures only what the restore reads, so the action stays inside
-        // EventFn's inline buffer and takes no action-pool block.
+        // Captures only what the restore reads, so the action fits
+        // EventFn's inline buffer.
         // qcdoc-lint: touches(node) restores the BER of e.node's wire only
         host.schedule(e.duration, [this, node = e.node, link = e.link,
                                    previous] {

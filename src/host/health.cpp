@@ -33,7 +33,6 @@ void HealthMonitor::classify_node(NodeId node, HealthSweep* out) {
   const int i = static_cast<int>(node.value);
 
   const auto retrain_wire = [&](NodeId owner, torus::LinkIndex l) {
-    if (!cfg_.auto_retrain) return;
     // retrain() is a no-op while already training, so a wire flagged by
     // both its sender and its receiver in one sweep retrains only once.
     if (mesh.wire(owner, l).state() == hssl::LinkState::kTraining) return;
@@ -142,7 +141,7 @@ void HealthMonitor::classify_node(NodeId node, HealthSweep* out) {
   } else if (verdict == NodeHealth::kFailed) {
     rep.newly_failed.push_back(node);
     stats_.add("health.failed_nodes");
-    if (cfg_.auto_quarantine && qdaemon_) qdaemon_->quarantine_node(node);
+    if (qdaemon_) qdaemon_->quarantine_node(node);
   }
   health_[static_cast<std::size_t>(i)] = verdict;
   switch (verdict) {
@@ -182,7 +181,7 @@ void HealthMonitor::report_external_failure(NodeId n,
   stats_.add("health.external_failures");
   QCDOC_INFO << "health: node " << n.value
              << " failed (external report): " << reason;
-  if (cfg_.auto_quarantine && qdaemon_) qdaemon_->quarantine_node(n);
+  if (qdaemon_) qdaemon_->quarantine_node(n);
 }
 
 HealthMonitor::State HealthMonitor::capture_state() const {

@@ -49,8 +49,6 @@ struct HealthConfig {
   /// over its lifetime is failed and quarantined -- repeated machine
   /// checks mean bad silicon, not bad luck.
   u64 quarantine_mem_uncorrectable = 4;
-  bool auto_retrain = true;     ///< retrain marginal / faulted wires
-  bool auto_quarantine = true;  ///< quarantine failed nodes from allocation
 };
 
 /// What one sweep found and did.
@@ -102,7 +100,8 @@ class HealthMonitor {
 
   /// Out-of-band failure report from another detector (e.g. the qdaemon's
   /// SCU watchdog): mark the node failed immediately -- without waiting for
-  /// the next sweep -- and quarantine it if configured.  Idempotent.
+  /// the next sweep -- and quarantine it when a qdaemon is attached.
+  /// Idempotent.
   void report_external_failure(NodeId n, const std::string& reason);
 
   NodeHealth health(NodeId n) const { return health_[n.value]; }

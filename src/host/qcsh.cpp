@@ -131,7 +131,10 @@ std::vector<std::string> Qcsh::cmd_status() {
   const auto failed = daemon_->failed_nodes();
   if (!failed.empty()) {
     std::string line = "failed nodes:";
-    for (const auto nd : failed) line += " " + std::to_string(nd.value);
+    for (const auto nd : failed) {
+      line += ' ';
+      line += std::to_string(nd.value);
+    }
     out.push_back(line);
   }
   return out;

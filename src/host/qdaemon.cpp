@@ -92,53 +92,6 @@ ScuWatchdog::ScuWatchdog(machine::Machine* m, HealthMonitor* health,
   flagged_.assign(n, false);
 }
 
-WatchdogReport ScuWatchdog::check() {
-  ++checks_;
-  WatchdogReport rep;
-  rep.at = machine_->engine().now();
-  net::MeshNet& mesh = machine_->mesh();
-  const auto& topo = machine_->topology();
-  const int n = machine_->num_nodes();
-  for (int i = 0; i < n; ++i) {
-    const NodeId node{static_cast<u32>(i)};
-    const auto idx = static_cast<std::size_t>(i);
-    scu::Scu& node_scu = mesh.scu(node);
-    u64 received = 0;
-    for (int l = 0; l < torus::kLinksPerNode; ++l) {
-      received += node_scu.recv_side(torus::LinkIndex{l}).words_received();
-    }
-    if (received != last_recv_[idx]) {
-      last_recv_[idx] = received;
-      last_progress_[idx] = rep.at;
-      continue;
-    }
-    if (flagged_[idx]) continue;  // sticky: report a node at most once
-    if (rep.at - last_progress_[idx] < cfg_.stall_cycles) continue;
-    // No receive progress for a full stall window.  Only a stall with data
-    // *waiting* is a hang -- an idle node's counters freeze too.  A facing
-    // neighbour with undrained send data is that evidence.
-    bool starving_neighbor = false;
-    for (int l = 0; l < torus::kLinksPerNode && !starving_neighbor; ++l) {
-      const torus::LinkIndex link{l};
-      const NodeId peer = topo.neighbor(node, link);
-      starving_neighbor =
-          !mesh.scu(peer).send_side(torus::facing_link(link)).data_drained();
-    }
-    if (!starving_neighbor) continue;
-    flagged_[idx] = true;
-    ++nodes_flagged_;
-    rep.stalled.push_back(node);
-    QCDOC_WARN << "watchdog: node " << i << " made no receive progress for "
-               << (rep.at - last_progress_[idx])
-               << " cycles with neighbour data pending";
-    if (health_) {
-      health_->report_external_failure(node,
-                                       "SCU receive progress stalled");
-    }
-  }
-  return rep;
-}
-
 void ScuWatchdog::arm(Cycle duration) {
   if (armed_) return;
   armed_ = true;
@@ -197,8 +150,9 @@ void ScuWatchdog::correlate(Cycle sampled_at, Cycle end) {
     }
     if (flagged_[idx]) continue;  // sticky: report a node at most once
     if (sampled_at - last_progress_[idx] < cfg_.stall_cycles) continue;
-    // Same policy as check(): a frozen counter is only a hang when a facing
-    // neighbour sampled undrained send data aimed at this node.
+    // No receive progress for a full stall window.  Only a stall with data
+    // *waiting* is a hang -- an idle node's counters freeze too -- so a
+    // facing neighbour must have sampled undrained send data aimed at it.
     bool starving_neighbor = false;
     for (int l = 0; l < torus::kLinksPerNode && !starving_neighbor; ++l) {
       const torus::LinkIndex link{l};

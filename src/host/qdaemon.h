@@ -47,17 +47,11 @@ struct JobResult {
 };
 
 struct WatchdogConfig {
-  /// Cycles between checks when watching continuously.
+  /// Cycles between samples (and correlations) while armed.
   Cycle check_period_cycles = 1 << 14;
   /// A node whose SCU has made no receive progress for this long, while a
   /// neighbour still has words queued for it, is declared stalled.
   Cycle stall_cycles = 1 << 16;
-};
-
-/// What one watchdog check found.
-struct WatchdogReport {
-  Cycle at = 0;
-  std::vector<NodeId> stalled;  ///< nodes newly flagged this check
 };
 
 /// Host-side SCU receive-progress watchdog.  A hung CPU whose SCU still
@@ -69,32 +63,26 @@ struct WatchdogReport {
 /// HealthMonitor for quarantine.  Idle nodes (no traffic pending) are
 /// never flagged.
 ///
-/// Two operating modes:
-///   - check(): the synchronous diagnostic path.  The host reads live node
-///     state directly, which is only legal with the engine stopped between
-///     runs.
-///   - arm(): the bounded-affinity monitoring path (DESIGN.md, "Host events
-///     and the bounded-affinity contract").  Every check period each node
-///     samples its OWN receive counters and send-drain bits with an event
-///     carrying its own node affinity -- its touched set is exactly itself,
-///     so samples execute inside parallel windows like any node traffic.
-///     A host event one cycle later correlates the sampled slots using pure
-///     host-side memory.  The watchdog therefore rides along a running job
-///     without serializing the simulation.
+/// The watchdog runs only while armed, and only on the bounded-affinity
+/// pattern (DESIGN.md, "Host events and the bounded-affinity contract"):
+/// every check period each node samples its OWN receive counters and
+/// send-drain bits with an event carrying its own node affinity -- its
+/// touched set is exactly itself, so samples execute inside parallel
+/// windows like any node traffic.  A host event one cycle later correlates
+/// the sampled slots using pure host-side memory and applies the one stall
+/// policy.  The watchdog therefore rides along a running job without
+/// serializing the simulation.
 class ScuWatchdog {
  public:
   /// `health` may be null (detection only, no escalation sink).
   ScuWatchdog(machine::Machine* m, HealthMonitor* health,
               WatchdogConfig cfg = WatchdogConfig{});
 
-  /// Inspect every node now.  Flagging is sticky: a node is reported to
-  /// the health monitor at most once.
-  WatchdogReport check();
-
-  /// Schedule the event-driven sampling mode for `duration` cycles from
-  /// now, then return immediately; the caller runs the engine (typically by
-  /// running a job).  Idempotent while armed; may be re-armed after the
-  /// previous watch expires.
+  /// Schedule sampling and correlation for `duration` cycles from now, then
+  /// return immediately; the caller runs the engine (typically by running a
+  /// job).  Idempotent while armed; may be re-armed after the previous
+  /// watch expires.  Flagging is sticky: a node is reported to the health
+  /// monitor at most once.
   void arm(Cycle duration);
   [[nodiscard]] bool armed() const { return armed_; }
 
@@ -110,9 +98,9 @@ class ScuWatchdog {
   /// per-link send-undrained mask into its own slot.  Touches no other
   /// node's state.
   void sample_node(u32 i, Cycle end);
-  /// Host correlation body: applies the check() stall policy to the
-  /// sampled slots taken one cycle earlier; re-arms itself until the next
-  /// sampling instant would pass `end`.
+  /// Host correlation body: applies the stall policy to the sampled slots
+  /// taken one cycle earlier; re-arms itself until the next sampling
+  /// instant would pass `end`.
   void correlate(Cycle sampled_at, Cycle end);
 
   machine::Machine* machine_;

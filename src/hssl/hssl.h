@@ -11,7 +11,7 @@
 //
 // Each frame travels by value inside its delivery event to the wire's one
 // receiver, set when the network is wired; the event fits EventFn's inline
-// buffer, so a frame costs neither a heap nor a pool block.
+// buffer, so a frame costs no heap block.
 //
 // Fault model: a link can die outright (`fail()` -- a broken cable or
 // daughterboard, paper Sec. 4's bring-up debugging) and be brought back by

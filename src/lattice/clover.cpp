@@ -115,7 +115,8 @@ void CloverDirac::compute_clover_term() {
                            pairs[static_cast<std::size_t>(p)].second);
       }
       for (int ch = 0; ch < 2; ++ch) {
-        std::array<Complex, 36> block{};
+        std::array<Complex, 36> block;
+        block.fill(Complex(0.0));
         for (int i = 0; i < 6; ++i) block[static_cast<std::size_t>(7 * i)] = 1.0;
         for (int p = 0; p < 6; ++p) {
           const auto& sb =

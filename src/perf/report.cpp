@@ -39,8 +39,8 @@ std::string format_engine_report(const sim::EngineReport& r,
   if (r.shard_events.empty()) min_shard = 0;
   // Deliberately no wall-clock figures on the first line: it goes into
   // example and bench output that must be bit-identical run to run.  The
-  // timing-dependent diagnostics (barrier stall, wait histogram, allocator
-  // counters) only appear on the opt-in wall_clock line.
+  // timing-dependent diagnostics (barrier stall, wait histogram) only appear
+  // on the opt-in wall_clock line.
   std::snprintf(line, sizeof(line),
                 "engine: %d thread%s, lookahead %llu cycles, "
                 "%llu events (shards %llu..%llu), windows %llu par / %llu "
@@ -58,12 +58,8 @@ std::string format_engine_report(const sim::EngineReport& r,
   std::string out = line;
   if (wall_clock) {
     std::snprintf(line, sizeof(line),
-                  "\nengine wall clock: %.2fs barrier stall, action pool "
-                  "%llu blocks / %llu reuses / %llu oversize, waits",
-                  r.barrier_stall_seconds,
-                  static_cast<unsigned long long>(r.action_pool_blocks),
-                  static_cast<unsigned long long>(r.action_pool_reuses),
-                  static_cast<unsigned long long>(r.action_oversize_allocs));
+                  "\nengine wall clock: %.2fs barrier stall, waits",
+                  r.barrier_stall_seconds);
     out += line;
     // Histogram bucket 0 is "no wait"; bucket k >= 1 covers waits of
     // [2^(k-1), 2^k) microseconds, with the last bucket open-ended.

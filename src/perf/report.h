@@ -33,8 +33,8 @@ std::string format_table(const std::vector<Row>& rows);
 /// and the per-shard event spread.  The default line carries only
 /// deterministic counters so bench and example output stays bit-identical
 /// run to run; pass `wall_clock = true` to append a second line with the
-/// timing-dependent diagnostics (barrier stall seconds, the barrier-wait
-/// histogram, and the action-pool allocation counters).
+/// timing-dependent diagnostics (barrier stall seconds and the barrier-wait
+/// histogram).
 std::string format_engine_report(const sim::EngineReport& r,
                                  bool wall_clock = false);
 

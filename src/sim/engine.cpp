@@ -573,10 +573,6 @@ EngineReport Engine::report() const {
   rep.peak_pending_events = peak_pending_;
   rep.barrier_stall_seconds = barrier_stall_seconds_;
   rep.barrier_wait_hist = barrier_hist_;
-  const detail::ActionAllocStats a = detail::action_alloc_stats();
-  rep.action_pool_blocks = a.pool_blocks - alloc_base_.pool_blocks;
-  rep.action_pool_reuses = a.pool_reuses - alloc_base_.pool_reuses;
-  rep.action_oversize_allocs = a.oversize_allocs - alloc_base_.oversize_allocs;
   rep.shard_events.resize(static_cast<std::size_t>(cfg_.threads), 0);
   for (int w = 0; w < cfg_.threads; ++w) {
     for (u32 r = shard_begin_[static_cast<std::size_t>(w)];

@@ -192,12 +192,6 @@ struct EngineReport {
   /// Wall time the coordinator waited per barrier, bucketed by log2
   /// microseconds: [0] no wait, [1] <2us, [2] <4us ... [15] >=16ms.
   std::array<u64, 16> barrier_wait_hist{};
-  /// Action-storage heap traffic over this engine's lifetime (process-global
-  /// counter deltas; see sim/event_fn.h).  Steady state must not grow
-  /// pool_blocks or oversize_allocs -- the benches gate on exactly that.
-  u64 action_pool_blocks = 0;    ///< fresh pool blocks carved for big actions
-  u64 action_pool_reuses = 0;    ///< freelist recycles (no heap traffic)
-  u64 action_oversize_allocs = 0;  ///< actions too big even for a pool block
   std::vector<u64> shard_events;   ///< events executed per shard
 };
 
@@ -214,7 +208,7 @@ struct EngineStreamState {
 /// to stay continuous: the clock plus every rank's stream.  Pending events
 /// are deliberately NOT here -- snapshots are taken at quiescent points
 /// (pending_events() == 0, or events owned by re-armable services), because
-/// pooled EventFn closures capture raw pointers and cannot be serialized.
+/// EventFn closures capture raw pointers and cannot be serialized.
 struct EngineClockState {
   Cycle now = 0;
   u64 events_executed = 0;
@@ -231,7 +225,7 @@ struct EngineConfig {
 /// contract; the thread count changes wall-clock time, never a result.
 class Engine {
  public:
-  /// Event actions are pooled small-buffer callables, not std::function --
+  /// Event actions are inline small-buffer callables, not std::function --
   /// a typical action's captures overflow std::function's inline buffer and
   /// would cost one heap allocation per scheduled event (see event_fn.h).
   using Action = EventFn;
@@ -420,7 +414,6 @@ class Engine {
   u64 peak_pending_ = 0;
   double barrier_stall_seconds_ = 0;
   std::array<u64, 16> barrier_hist_{};
-  detail::ActionAllocStats alloc_base_ = detail::action_alloc_stats();
 };
 
 /// A (engine, node) pair: the handle components hold so their schedules are

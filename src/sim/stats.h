@@ -5,10 +5,8 @@
 // and diagnostics read one uniform interface.
 #pragma once
 
-#include <cstdint>
 #include <map>
 #include <string>
-#include <vector>
 
 #include "common/types.h"
 
@@ -24,19 +22,8 @@ class StatSet {
   /// construction and increment through the pointer instead of paying a
   /// string-keyed tree lookup per event.
   u64* cell(const std::string& name) { return &counters_[name]; }
-  /// Overwrite counter `name`.
-  void set(const std::string& name, u64 value);
   /// Value of `name`, or 0 if never touched.
   u64 get(const std::string& name) const;
-  bool has(const std::string& name) const;
-  void clear();
-
-  /// Stable-ordered snapshot for reports.
-  std::vector<std::pair<std::string, u64>> snapshot() const;
-
-  /// Sum counters of this name across a set of stat sets.
-  static u64 total(const std::vector<const StatSet*>& sets,
-                   const std::string& name);
 
  private:
   std::map<std::string, u64> counters_;

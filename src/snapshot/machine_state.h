@@ -17,7 +17,7 @@
 //      standing services (background scrubbers restart, the fault injector
 //      re-arms the unfired remainder of its plan).
 //
-// Pending events are never serialized: pooled EventFn closures capture raw
+// Pending events are never serialized: EventFn closures capture raw
 // pointers.  Snapshots are therefore only legal at quiescent points (CG
 // audit boundaries leave pending_events() == 0) up to service-owned events,
 // which capture_machine() verifies and reports loudly when violated.

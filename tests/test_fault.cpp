@@ -219,45 +219,61 @@ TEST(Watchdog, StalledReceiverIsFlaggedAndQuarantined) {
   host::Qdaemon qd(&m);
   qd.boot();
   host::WatchdogConfig wcfg;
+  wcfg.check_period_cycles = 1 << 10;
   wcfg.stall_cycles = 1 << 12;
   host::ScuWatchdog& wd = qd.watchdog(wcfg);
+  // One armed watch, run past its horizon.
+  const Cycle watch = 1 << 13;
+  const auto watch_once = [&] {
+    wd.arm(watch);
+    m.engine().run_until(m.engine().now() + watch + 64);
+    EXPECT_FALSE(wd.armed()) << "watch must expire at the armed horizon";
+  };
+  const auto flagged = [&] {
+    std::vector<NodeId> nodes;
+    for (int i = 0; i < m.num_nodes(); ++i) {
+      const NodeId n{static_cast<u32>(i)};
+      if (wd.stalled(n)) nodes.push_back(n);
+    }
+    return nodes;
+  };
 
   // Healthy traffic: receive counters advance, nobody is flagged.
   const LinkIndex l0{0};
   const NodeId receiver = m.topology().neighbor(NodeId{0}, l0);
   auto& recv = m.scu(receiver).recv_side(torus::facing_link(l0));
   recv.set_data_sink([](u64) {});
-  for (int i = 0; i < 16; ++i) {
-    m.scu(NodeId{0}).send_side(l0).enqueue_data(static_cast<u64>(i));
-  }
-  m.engine().run_until_idle();
-  EXPECT_TRUE(wd.check().stalled.empty());
+  auto& send = m.scu(NodeId{0}).send_side(l0);
+  for (int i = 0; i < 16; ++i) send.enqueue_data(static_cast<u64>(i));
+  watch_once();
+  EXPECT_TRUE(send.data_drained());
+  EXPECT_TRUE(flagged().empty());
 
   // The wire dies with data still queued behind it: the receiver's word
   // counters freeze while the sender's queue stays undrained.  Idle nodes
   // freeze too, but with no neighbour data pending they are never flagged.
   m.mesh().wire(NodeId{0}, l0).fail();
-  for (int i = 0; i < 8; ++i) {
-    m.scu(NodeId{0}).send_side(l0).enqueue_data(static_cast<u64>(100 + i));
-  }
-  m.engine().run_until(m.engine().now() + (1 << 13));
-  const auto rep = wd.check();
-  ASSERT_EQ(rep.stalled.size(), 1u);
-  EXPECT_EQ(rep.stalled[0], receiver);
-  EXPECT_TRUE(wd.stalled(receiver));
+  for (int i = 0; i < 8; ++i) send.enqueue_data(static_cast<u64>(100 + i));
+  watch_once();
+  EXPECT_EQ(flagged(), std::vector<NodeId>{receiver});
   // The report escalates through the health monitor to quarantine.
   EXPECT_EQ(qd.health().health(receiver), host::NodeHealth::kFailed);
   EXPECT_TRUE(qd.is_quarantined(receiver));
-  // Sticky: a second check does not re-report the same node.
-  EXPECT_TRUE(wd.check().stalled.empty());
+  EXPECT_EQ(wd.nodes_flagged(), 1u);
+
+  // Sticky: later correlations still see the stall but do not re-report.
+  const u64 checks = wd.checks();
+  watch_once();
+  EXPECT_GT(wd.checks(), checks);
+  EXPECT_FALSE(send.data_drained());
+  EXPECT_EQ(flagged(), std::vector<NodeId>{receiver});
   EXPECT_EQ(wd.nodes_flagged(), 1u);
 }
 
-// The armed (event-driven) watchdog must catch the same stall as the
-// synchronous check() path while the engine keeps running, and -- because
-// its samplers are node-affine events and its correlation reads only
-// host-side memory -- the whole run must stay bit-identical across thread
-// counts (the bounded-affinity contract, DESIGN.md).
+// The armed watchdog must catch a stall while the engine keeps running,
+// and -- because its samplers are node-affine events and its correlation
+// reads only host-side memory -- the whole run must stay bit-identical
+// across thread counts (the bounded-affinity contract, DESIGN.md).
 TEST(Watchdog, ArmedSamplingFlagsStallAndKeepsDigestThreadInvariant) {
   struct Run {
     u64 digest;

@@ -496,7 +496,7 @@ class StdFunctionEventRule final : public Rule {
   const char* summary() const override {
     return "no std::function in src/sim/, src/hssl/ or src/scu/; event "
            "actions and link-path callbacks use sim::SmallFn (48-byte inline "
-           "buffer + pooled fallback) or direct calls, so the event and "
+           "buffer, no heap fallback) or direct calls, so the event and "
            "per-frame paths allocate zero heap blocks";
   }
   void check(const SourceFile& f, const ProjectIndex&,
