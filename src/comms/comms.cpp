@@ -7,13 +7,9 @@
 namespace qcdoc::comms {
 
 using torus::Dir;
-using torus::LinkIndex;
 
 Communicator::Communicator(machine::Machine* m, const torus::Partition* p)
-    : machine_(m), partition_(p), nodes_(p->nodes()) {
-  stored_send_mask_.assign(nodes_.size(), 0);
-  stored_recv_mask_.assign(nodes_.size(), 0);
-}
+    : machine_(m), partition_(p), nodes_(p->nodes()) {}
 
 void Communicator::post_shift(int ldim, Dir dir,
                               std::span<const scu::DmaDescriptor> send_descs,
@@ -44,38 +40,6 @@ void Communicator::post_shift(int ldim, Dir dir,
   }
 }
 
-void Communicator::store_shift(int ldim, Dir dir,
-                               const scu::DmaDescriptor& send,
-                               const scu::DmaDescriptor& recv) {
-  const int n = num_nodes();
-  for (int r = 0; r < n; ++r) {
-    const torus::Coord lc = partition_->logical_coord(r);
-    const auto step = partition_->step(lc, ldim, dir);
-    assert(step.single_hop);
-    machine_->scu(step.from).store_send_descriptor(step.link, send);
-    machine_->scu(step.to).store_recv_descriptor(torus::facing_link(step.link),
-                                                 recv);
-    stored_send_mask_[static_cast<std::size_t>(r)] |= 1u << step.link.value;
-    const int to_rank = partition_->rank([&] {
-      torus::Coord c = lc;
-      const int e = partition_->logical_shape().extent[ldim];
-      c.c[ldim] = (c.c[ldim] + static_cast<int>(dir) + e) % e;
-      return c;
-    }());
-    stored_recv_mask_[static_cast<std::size_t>(to_rank)] |=
-        1u << torus::facing_link(step.link).value;
-  }
-}
-
-void Communicator::start_stored() {
-  const int n = num_nodes();
-  for (int r = 0; r < n; ++r) {
-    const auto idx = static_cast<std::size_t>(r);
-    machine_->scu(nodes_[idx]).start_stored(stored_send_mask_[idx],
-                                            stored_recv_mask_[idx]);
-  }
-}
-
 scu::GlobalOpTiming Communicator::global_timing() const {
   scu::GlobalOpTiming t;
   t.frame_bits = machine_->hw().scu_data_bits + machine_->hw().scu_packet_header_bits;
@@ -91,18 +55,6 @@ Communicator::GlobalSumResult Communicator::global_sum(
   result.value = partition_global_sum(*partition_, per_rank);
   result.cycles = partition_global_sum_cycles(*partition_, t, doubled);
   return result;
-}
-
-Cycle Communicator::broadcast_cycles(bool doubled, bool cut_through) const {
-  scu::GlobalOpTiming t = global_timing();
-  t.cut_through = cut_through;
-  Cycle total = 0;
-  for (int l = 0; l < partition_->logical_dims(); ++l) {
-    const int e = partition_->logical_shape().extent[l];
-    if (e <= 1) continue;
-    total += scu::ring_broadcast(t, e, doubled).completion_cycles;
-  }
-  return total;
 }
 
 }  // namespace qcdoc::comms

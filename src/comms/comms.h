@@ -7,11 +7,10 @@
 //   - shifts: every node transfers a block-strided region to its logical
 //     neighbour along one partition axis (the halo exchange primitive);
 //     posted as real SCU DMAs, drained by the BSP runtime.
-//   - stored-descriptor starts: descriptors are written into the SCU once
-//     and re-started with a single write ("only a single write is needed to
-//     start up to 24 communications").
-//   - global sums and broadcasts (the SCU global mode), functional and
-//     bit-reproducible.
+//   - global sums (the SCU global mode), functional and bit-reproducible.
+//
+// The SCU's stored DMA instructions are not modelled (scu/scu.h says why):
+// a stored start would make the same DMA starts post_shift makes.
 //
 // "The temporal ordering of a start send on one node and start receive on
 // another is not important" -- the idle-receive hardware holds early words,
@@ -48,12 +47,6 @@ class Communicator {
                   std::span<const scu::DmaDescriptor> send_descs,
                   std::span<const scu::DmaDescriptor> recv_descs);
 
-  /// Store shift descriptors in the SCUs without starting them...
-  void store_shift(int ldim, torus::Dir dir, const scu::DmaDescriptor& send,
-                   const scu::DmaDescriptor& recv);
-  /// ...then fire every stored descriptor machine-wide with one write each.
-  void start_stored();
-
   /// Timing parameters for the global-operation mode.
   scu::GlobalOpTiming global_timing() const;
 
@@ -66,16 +59,10 @@ class Communicator {
   GlobalSumResult global_sum(std::span<const double> per_rank,
                              bool doubled = true, bool cut_through = true) const;
 
-  /// Cycles to broadcast one word from rank 0 to the whole partition.
-  Cycle broadcast_cycles(bool doubled = true, bool cut_through = true) const;
-
  private:
   machine::Machine* machine_;
   const torus::Partition* partition_;
   std::vector<NodeId> nodes_;  // rank -> machine node
-  // Stored-shift bookkeeping: per rank, masks of links armed.
-  std::vector<u32> stored_send_mask_;
-  std::vector<u32> stored_recv_mask_;
 };
 
 }  // namespace qcdoc::comms

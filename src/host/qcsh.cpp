@@ -1,7 +1,9 @@
 #include "host/qcsh.h"
 
 #include <algorithm>
+#include <charconv>
 #include <sstream>
+#include <string_view>
 
 namespace qcdoc::host {
 
@@ -41,17 +43,25 @@ std::vector<std::string> tokenize(const std::string& line) {
   return tokens;
 }
 
-/// Parse "4x4x2x2x1x1" into a Shape; false on malformed input.
-bool parse_shape(const std::string& text, torus::Shape* shape) {
-  std::istringstream in(text);
+/// Parse a whole decimal token; false on any other character.
+bool parse_int(std::string_view text, int* value) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, *value);
+  return ec == std::errc{} && ptr == end;
+}
+
+/// Parse exactly "4x4x2x2x1x1" into a Shape; false on malformed input.
+bool parse_shape(std::string_view text, torus::Shape* shape) {
   for (int d = 0; d < torus::kMaxDims; ++d) {
+    const bool last = d + 1 == torus::kMaxDims;
+    const std::size_t cut = last ? text.size() : text.find_first_of("xX");
     int e = 0;
-    if (!(in >> e) || e < 1) return false;
-    shape->extent[d] = e;
-    if (d + 1 < torus::kMaxDims) {
-      char x = 0;
-      if (!(in >> x) || (x != 'x' && x != 'X')) return false;
+    if (cut == std::string_view::npos || !parse_int(text.substr(0, cut), &e) ||
+        e < 1) {
+      return false;
     }
+    shape->extent[d] = e;
+    if (!last) text.remove_prefix(cut + 1);
   }
   return true;
 }
@@ -62,16 +72,6 @@ Qcsh::Qcsh(Qdaemon* daemon) : daemon_(daemon) {}
 
 void Qcsh::register_application(const std::string& name, Application app) {
   applications_[name] = std::move(app);
-}
-
-void Qcsh::attach_scheduler(JobScheduler* sched, std::string user) {
-  scheduler_ = sched;
-  user_ = std::move(user);
-}
-
-void Qcsh::register_job(const std::string& name,
-                        std::function<StepStatus(JobContext&)> body) {
-  job_bodies_[name] = std::move(body);
 }
 
 std::vector<std::string> Qcsh::execute(const std::string& line) {
@@ -85,9 +85,6 @@ std::vector<std::string> Qcsh::execute(const std::string& line) {
   if (cmd == "run") return cmd_run(args);
   if (cmd == "release") return cmd_release(args);
   if (cmd == "partitions") return cmd_partitions();
-  if (cmd == "submit") return cmd_submit(args);
-  if (cmd == "jobs") return cmd_jobs();
-  if (cmd == "job") return cmd_job(args);
   exit_code_ = 1;
   return {"qcsh: unknown command '" + cmd + "'"};
 }
@@ -145,13 +142,21 @@ std::vector<std::string> Qcsh::cmd_alloc(const std::vector<std::string>& args) {
     exit_code_ = 1;
     return {"usage: alloc <name> <e0>x<e1>x<e2>x<e3>x<e4>x<e5> <dims>"};
   }
+  if (!daemon_->booted()) {
+    exit_code_ = 1;
+    return {"qcsh: machine not booted"};
+  }
+  if (partitions_.contains(args[0])) {
+    exit_code_ = 1;
+    return {"qcsh: partition '" + args[0] + "' already exists"};
+  }
   torus::Shape box;
   if (!parse_shape(args[1], &box)) {
     exit_code_ = 1;
     return {"qcsh: bad shape '" + args[1] + "'"};
   }
-  const int dims = std::atoi(args[2].c_str());
-  if (dims < 1 || dims > torus::kMaxDims) {
+  int dims = 0;
+  if (!parse_int(args[2], &dims) || dims < 1 || dims > torus::kMaxDims) {
     exit_code_ = 1;
     return {"qcsh: dimensionality must be 1..6"};
   }
@@ -212,93 +217,6 @@ std::vector<std::string> Qcsh::cmd_partitions() {
                   handle.partition->logical_shape().to_string());
   }
   if (out.empty()) out.push_back("(none)");
-  return out;
-}
-
-std::vector<std::string> Qcsh::cmd_submit(
-    const std::vector<std::string>& args) {
-  if (scheduler_ == nullptr) {
-    exit_code_ = 1;
-    return {"qcsh: no scheduler attached"};
-  }
-  if (args.size() != 4) {
-    exit_code_ = 1;
-    return {"usage: submit <job-name> <body> <e0>x<e1>x<e2>x<e3>x<e4>x<e5> "
-            "<dims>"};
-  }
-  const auto bit = job_bodies_.find(args[1]);
-  if (bit == job_bodies_.end()) {
-    exit_code_ = 1;
-    return {"qcsh: no job body '" + args[1] + "'"};
-  }
-  JobSpec spec;
-  spec.name = args[0];
-  spec.user = user_;
-  spec.image = args[1];
-  if (!parse_shape(args[2], &spec.box)) {
-    exit_code_ = 1;
-    return {"qcsh: bad shape '" + args[2] + "'"};
-  }
-  spec.logical_dims = std::atoi(args[3].c_str());
-  spec.body = bit->second;
-  const SubmitOutcome out =
-      submit_with_retry(*scheduler_, spec, retry_policy_, retry_rng_);
-  if (!out.accepted) {
-    exit_code_ = 1;
-    return {"qcsh: submit rejected (" + std::string(to_string(out.error)) +
-            "): " + out.detail};
-  }
-  return {"job " + std::to_string(out.id) + " ('" + spec.name +
-          "') accepted"};
-}
-
-std::vector<std::string> Qcsh::cmd_jobs() {
-  if (scheduler_ == nullptr) {
-    exit_code_ = 1;
-    return {"qcsh: no scheduler attached"};
-  }
-  std::vector<std::string> out;
-  for (const JobStatusInfo& j : scheduler_->jobs()) {
-    out.push_back(std::to_string(j.id) + " " + j.name + " (" + j.user +
-                  "): " + to_string(j.state) + ", " +
-                  std::to_string(j.steps) + " steps, " +
-                  std::to_string(j.migrations) + " migrations");
-  }
-  if (out.empty()) out.push_back("(no jobs)");
-  return out;
-}
-
-std::vector<std::string> Qcsh::cmd_job(const std::vector<std::string>& args) {
-  if (scheduler_ == nullptr) {
-    exit_code_ = 1;
-    return {"qcsh: no scheduler attached"};
-  }
-  if (args.size() != 1) {
-    exit_code_ = 1;
-    return {"usage: job <id>"};
-  }
-  const JobStatusInfo j = scheduler_->status(std::atoi(args[0].c_str()));
-  if (j.id < 0) {
-    exit_code_ = 1;
-    return {"qcsh: no job '" + args[0] + "'"};
-  }
-  std::vector<std::string> out;
-  out.push_back("job " + std::to_string(j.id) + " '" + j.name + "' user '" +
-                j.user + "' state " + to_string(j.state));
-  out.push_back("  steps " + std::to_string(j.steps) + ", requeues " +
-                std::to_string(j.requeues) + ", migrations " +
-                std::to_string(j.migrations) + ", cycles " +
-                std::to_string(j.cycles_run));
-  if (j.failure != fault::JobFailure::kNone) {
-    out.push_back("  failure: " + std::string(fault::to_string(j.failure)) +
-                  " (" + j.detail + ")");
-  }
-  std::size_t cursor = 0;
-  for (const JobEvent& e : scheduler_->events_since(j.id, &cursor)) {
-    out.push_back("  [" + std::to_string(e.at) + "] " +
-                  to_string(e.state) + ": " + e.note);
-  }
-  for (const std::string& line : j.output) out.push_back("  > " + line);
   return out;
 }
 

@@ -8,7 +8,9 @@
 // The model is a small command interpreter over the qdaemon: scripts (or
 // interactive lines) allocate partitions, run registered applications,
 // query node status and release resources, with every command's output
-// returned as the data stream the real qcsh would print.
+// returned as the data stream the real qcsh would print.  Batch jobs go to
+// the JobScheduler directly; submit_with_retry below is that client's
+// backoff, and the shell has no job commands.
 #pragma once
 
 #include <functional>
@@ -58,15 +60,6 @@ class Qcsh {
   /// Make an application launchable by name.
   void register_application(const std::string& name, Application app);
 
-  /// Attach the multi-tenant scheduler; enables the submit/jobs/job
-  /// commands.  `user` is the tenant this shell submits as (the real qcsh
-  /// "runs with the UID of the application programmer").
-  void attach_scheduler(JobScheduler* sched, std::string user);
-  /// Make a step-based job body submittable by name (shared across
-  /// submissions; bodies keep their state in the JobContext checkpoint).
-  void register_job(const std::string& name,
-                    std::function<StepStatus(JobContext&)> body);
-
   /// Execute one command line; returns the output lines.  Commands:
   ///   boot
   ///   status
@@ -74,11 +67,8 @@ class Qcsh {
   ///   run <partition> <application> [args...]
   ///   release <partition>
   ///   partitions
-  /// With a scheduler attached:
-  ///   submit <job-name> <body> <e0>x...x<e5> <dims>   (retries on backpressure)
-  ///   jobs
-  ///   job <id>
-  /// Unknown commands report an error line (exit_code() becomes nonzero).
+  /// Unknown commands and malformed or refused ones report an error line
+  /// (exit_code() becomes nonzero).
   std::vector<std::string> execute(const std::string& line);
 
   /// Run a whole script (one command per line, '#' comments allowed);
@@ -94,18 +84,10 @@ class Qcsh {
   std::vector<std::string> cmd_run(const std::vector<std::string>& args);
   std::vector<std::string> cmd_release(const std::vector<std::string>& args);
   std::vector<std::string> cmd_partitions();
-  std::vector<std::string> cmd_submit(const std::vector<std::string>& args);
-  std::vector<std::string> cmd_jobs();
-  std::vector<std::string> cmd_job(const std::vector<std::string>& args);
 
   Qdaemon* daemon_;
   std::map<std::string, Application> applications_;
   std::map<std::string, PartitionHandle> partitions_;
-  JobScheduler* scheduler_ = nullptr;
-  std::string user_;
-  std::map<std::string, std::function<StepStatus(JobContext&)>> job_bodies_;
-  RetryPolicy retry_policy_;
-  Rng retry_rng_{0x9c5417ab12cdull};
   int exit_code_ = 0;
 };
 

@@ -7,38 +7,16 @@
 
 namespace qcdoc::lattice {
 
-BicgWorkspace BicgWorkspace::make(DiracOperator& op) {
-  return BicgWorkspace{op.make_field("bicg.r"),  op.make_field("bicg.rhat"),
-                       op.make_field("bicg.p"),  op.make_field("bicg.v"),
-                       op.make_field("bicg.s"),  op.make_field("bicg.t")};
-}
-
-void BicgWorkspace::set_precision(Precision prec) {
-  r.set_precision(prec);
-  rhat.set_precision(prec);
-  p.set_precision(prec);
-  v.set_precision(prec);
-  s.set_precision(prec);
-  t.set_precision(prec);
-}
-
 CgResult bicgstab_solve(DiracOperator& op, DistField& x, DistField& b,
                         const CgParams& params) {
-  auto ws = BicgWorkspace::make(op);
-  return bicgstab_solve(op, x, b, params, ws);
-}
-
-CgResult bicgstab_solve(DiracOperator& op, DistField& x, DistField& b,
-                        const CgParams& params, BicgWorkspace& ws) {
+  DistField r = op.make_field("bicg.r");
+  DistField rhat = op.make_field("bicg.rhat");
+  DistField p = op.make_field("bicg.p");
+  DistField v = op.make_field("bicg.v");
+  DistField s = op.make_field("bicg.s");
+  DistField t = op.make_field("bicg.t");
   FieldOps& ops = op.ops();
   const SolveMeter meter(ops);
-
-  DistField& r = ws.r;
-  DistField& rhat = ws.rhat;
-  DistField& p = ws.p;
-  DistField& v = ws.v;
-  DistField& s = ws.s;
-  DistField& t = ws.t;
 
   // r = b - M x (x = 0 start), rhat = r.
   op.apply(r, x);

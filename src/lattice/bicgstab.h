@@ -12,24 +12,9 @@
 
 namespace qcdoc::lattice {
 
-/// BiCGStab working fields in canonical allocation order.  Normally
-/// allocated internally; the mixed-precision driver pre-allocates one set
-/// (simulated node memory is never freed, so per-cycle allocation would
-/// leak EDRAM and shift the timing model).
-struct BicgWorkspace {
-  DistField r, rhat, p, v, s, t;
-  static BicgWorkspace make(DiracOperator& op);
-  /// Tag every working field with a storage precision (sloppy inner runs).
-  void set_precision(Precision prec);
-};
-
 /// Solve M x = b by BiCGStab; x must be zero-initialized.  Returns the
 /// same accounting structure as cg_solve (residual on |b - Mx|/|b|).
 CgResult bicgstab_solve(DiracOperator& op, DistField& x, DistField& b,
                         const CgParams& params);
-
-/// As above with caller-provided working fields.
-CgResult bicgstab_solve(DiracOperator& op, DistField& x, DistField& b,
-                        const CgParams& params, BicgWorkspace& ws);
 
 }  // namespace qcdoc::lattice

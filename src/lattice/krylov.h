@@ -13,7 +13,7 @@
 //     even-odd solvers and the mixed solver's sloppy cycle.
 //   - AuditPolicy: detector polling, the baseline audit, rollback until an
 //     audit comes back clean, the trip bound and the checkpoint/resume
-//     scalars, shared by the cg, multishift and mixed audited solvers.
+//     scalars, shared by the audited cg and mixed solvers.
 #pragma once
 
 #include <cmath>
@@ -285,10 +285,8 @@ bool cg_loop(CgIteration<Space, Op>& cg, int& iterations,
       audit);
 }
 
-/// Copy the counters a solve keeps in its loop scalars into its result
-/// (CgResult or MultishiftResult).
-template <typename Result>
-void report_counters(const CgCheckpoint& st, Result& r) {
+/// Copy the counters a solve keeps in its loop scalars into its result.
+inline void report_counters(const CgCheckpoint& st, CgResult& r) {
   r.iterations = st.iterations;
   r.restarts = st.restarts;
   r.audits = st.audits;

@@ -158,59 +158,4 @@ CgResult mixed_cg_solve_audited(
                       audit.armed() ? &audit : nullptr);
 }
 
-CgResult mixed_bicgstab_solve(DiracOperator& op, DiracOperator& sloppy_op,
-                              DistField& x, DistField& b,
-                              const MixedCgParams& params) {
-  FieldOps& ops = op.ops();
-  const SolveMeter meter(ops);
-
-  DistField r = op.make_field("mxb.r");
-  DistField tmp = op.make_field("mxb.tmp");
-  DistField e = op.make_field("mxb.e");
-  DistField rs = op.make_field("mxb.rs");
-  e.set_precision(params.sloppy);
-  rs.set_precision(params.sloppy);
-  auto inner_ws = BicgWorkspace::make(op);
-  inner_ws.set_precision(params.sloppy);
-
-  // r = b - M x in double.
-  const auto recompute_residual = [&] {
-    op.apply(tmp, x);
-    ops.copy(b, r);
-    ops.axpy(-1.0, tmp, r);
-  };
-  recompute_residual();
-  const double rhs_norm2 = ops.norm2(r);
-  const double target =
-      params.tolerance * params.tolerance * (rhs_norm2 > 0 ? rhs_norm2 : 1.0);
-
-  CgResult result;
-  double rsq = rhs_norm2;
-  CgParams inner_params;
-  inner_params.tolerance = params.delta;
-  inner_params.max_iterations = params.max_inner;
-  for (int cycle = 0; cycle < params.max_outer && rsq >= target; ++cycle) {
-    // Sloppy BiCGstab on M e = r, one delta-reduction cycle.
-    ops.copy(r, rs);
-    e.zero();
-    const CgResult inner = bicgstab_solve(sloppy_op, e, rs, inner_params,
-                                          inner_ws);
-    result.iterations += inner.iterations;
-    ops.axpy(1.0, e, x);
-    recompute_residual();
-    rsq = ops.norm2(r);
-    ++result.reliable_updates;
-    if (inner.iterations == 0) break;  // inner breakdown; don't spin
-  }
-  result.converged = rsq < target;
-  result.relative_residual = relative_norm(rsq, rhs_norm2);
-
-  meter.finish(result);
-  QCDOC_INFO << "mixed-bicgstab[" << op.name() << "/"
-             << precision_name(params.sloppy) << "]: " << result.iterations
-             << " sloppy iterations, " << result.reliable_updates
-             << " reliable updates, |r|/|b| = " << result.relative_residual;
-  return result;
-}
-
 }  // namespace qcdoc::lattice

@@ -12,7 +12,6 @@
 // EDRAM/DDR cycle savings.
 #pragma once
 
-#include "lattice/bicgstab.h"
 #include "lattice/cg.h"
 
 namespace qcdoc::lattice {
@@ -55,11 +54,5 @@ CgResult mixed_cg_solve_audited(
     DiracOperator& op, DiracOperator& sloppy_op, DistField& x, DistField& b,
     const MixedCgParams& params,
     const ResumableAuditParams<MixedCgWorkspace>& audit);
-
-/// Reliable-update mixed-precision BiCGstab on M x = b: sloppy BiCGstab
-/// inner cycles (tolerance `delta` each) with double residual replacement.
-CgResult mixed_bicgstab_solve(DiracOperator& op, DiracOperator& sloppy_op,
-                              DistField& x, DistField& b,
-                              const MixedCgParams& params);
 
 }  // namespace qcdoc::lattice

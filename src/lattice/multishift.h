@@ -12,6 +12,11 @@
 // With shifts[0] == 0 the base iteration performs the exact operator and
 // vector-update sequence of cg_solve, so x[0] bit-matches plain CG on the
 // same right-hand side.
+//
+// The solve is not audited.  Its per-shift zeta state cannot be re-derived
+// from the iterates, so a rollback would need a shadow copy of the whole
+// working set; the fault-tolerant solvers are cg_solve_audited and
+// mixed_cg_solve_audited.
 #pragma once
 
 #include <vector>
@@ -34,12 +39,6 @@ struct MultishiftResult {
   /// |r_i| / |rhs| per shift, same order as params.shifts.
   std::vector<double> relative_residuals;
 
-  // Fault-tolerance accounting (audited variant only).
-  int restarts = 0;
-  u64 audits = 0;
-  u64 audit_failures = 0;
-  u64 mem_checks = 0;
-
   // Machine-level accounting over the solve.
   double flops = 0;
   Cycle cycles = 0;
@@ -53,19 +52,5 @@ struct MultishiftResult {
 /// sequence.  `x` must have params.shifts.size() zero-initialized fields.
 MultishiftResult multishift_solve(DiracOperator& op, std::vector<DistField>& x,
                                   DistField& b, const MultishiftParams& params);
-
-/// Fault-tolerant variant under the same audit policy as cg_solve_audited.
-/// Unlike CG -- which re-derives loop state from x -- the shifted
-/// recurrence carries per-shift scalar state that cannot be recomputed
-/// from the iterates, so a clean checkpoint shadow-copies the full working
-/// set (base vectors, every shifted direction and solution) and a dirty
-/// audit restores it exactly.  Rollback cost scales with the shift count;
-/// there is no cross-process resume (mixed_cg_solve_audited and
-/// cg_solve_audited have one), so no checkpoint hooks.
-MultishiftResult multishift_solve_audited(DiracOperator& op,
-                                          std::vector<DistField>& x,
-                                          DistField& b,
-                                          const MultishiftParams& params,
-                                          const AuditParams& audit);
 
 }  // namespace qcdoc::lattice

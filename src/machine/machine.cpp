@@ -43,21 +43,4 @@ Cycle Machine::power_on() {
   return engine_->now() - start;
 }
 
-PowerOnReport Machine::power_on_checked(Cycle timeout_cycles) {
-  if (timeout_cycles == 0) {
-    timeout_cycles = mesh_->config().hssl.training_cycles * 64;
-  }
-  const Cycle start = engine_->now();
-  const Cycle deadline = start + timeout_cycles;
-  mesh_->power_on();
-  engine_->run_while([this, deadline] {
-    return !mesh_->all_trained() && engine_->now() < deadline;
-  });
-  PowerOnReport report;
-  report.cycles = engine_->now() - start;
-  report.all_trained = mesh_->all_trained();
-  if (!report.all_trained) report.untrained = mesh_->untrained_links();
-  return report;
-}
-
 }  // namespace qcdoc::machine

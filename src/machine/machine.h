@@ -10,7 +10,6 @@
 #pragma once
 
 #include <memory>
-#include <vector>
 
 #include "common/types.h"
 #include "machine/cost.h"
@@ -34,16 +33,6 @@ struct MachineConfig {
   MachineConfig() { shape.extent = {2, 2, 2, 2, 2, 2}; }
 };
 
-/// Outcome of a bounded power-on attempt.  On healthy hardware `untrained`
-/// is empty; otherwise it names every wire that failed to train within the
-/// timeout -- the bring-up diagnostic of paper Sec. 4, where the host works
-/// out which daughterboard to reseat instead of waiting forever.
-struct PowerOnReport {
-  Cycle cycles = 0;          ///< engine time the attempt consumed
-  bool all_trained = false;  ///< true: the whole mesh came up
-  std::vector<net::LinkRef> untrained;
-};
-
 class Machine {
  public:
   explicit Machine(const MachineConfig& cfg);
@@ -61,13 +50,8 @@ class Machine {
   /// Power on all serial links and run the engine until every HSSL has
   /// trained.  Returns the training time in cycles.  Assumes healthy
   /// hardware; with dead links it gives up when the event queue empties.
+  /// The host's boot (host/boot.h) names the wires that failed to train.
   Cycle power_on();
-
-  /// Power on with a training deadline: run until every link trains or
-  /// `timeout_cycles` elapse (0 picks a generous default of 64x the nominal
-  /// training time), then report the links still untrained instead of
-  /// looping.  This is the entry point hosts and fault campaigns use.
-  PowerOnReport power_on_checked(Cycle timeout_cycles = 0);
 
   double seconds(Cycle c) const { return hw_.seconds(c); }
   double microseconds(Cycle c) const { return hw_.seconds(c) * 1e6; }

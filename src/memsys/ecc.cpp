@@ -27,13 +27,6 @@ u64 EccModel::total_rows() const {
          (m.ddr_words + cfg_.ddr_burst_words - 1) / cfg_.ddr_burst_words;
 }
 
-Region EccModel::region_of_key(u64 key) const {
-  const MemConfig& m = mem_->config();
-  const u64 edram_rows =
-      (m.edram_words + cfg_.edram_row_words - 1) / cfg_.edram_row_words;
-  return key < edram_rows ? Region::kEdram : Region::kDdr;
-}
-
 void EccModel::inject_upset(u64 word_addr, int bit) {
   assert(mem_ != nullptr && "EccModel used before attach()");
   ++counters_.upsets;

@@ -152,7 +152,6 @@ class EccModel {
 
   u64 codeword_key(u64 word_addr) const;
   u64 total_rows() const;
-  Region region_of_key(u64 key) const;
   /// Re-check one codeword after a scrub visit: drop rewritten flips,
   /// correct a lone survivor.  Returns true when the entry is now clean.
   bool settle(u64 key, Codeword* cw);

@@ -170,13 +170,6 @@ u64 MeshNet::total_stat(const std::string& name) const {
   return sum;
 }
 
-bool MeshNet::quiescent_slow() const {
-  for (const auto& s : scus_) {
-    if (!s->quiescent()) return false;
-  }
-  return true;
-}
-
 bool MeshNet::drain() { return engine_->drain(active_transfers_); }
 
 }  // namespace qcdoc::net

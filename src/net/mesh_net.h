@@ -113,8 +113,6 @@ class MeshNet {
   [[nodiscard]] bool quiescent() const {
     return active_transfers_.value() == 0;
   }
-  /// Exhaustive per-link check (used by tests to validate the counter).
-  [[nodiscard]] bool quiescent_slow() const;
 
   /// Run the event engine until the mesh is quiescent.  Returns false (and
   /// stops) if the event queue empties while transfers are still pending --

@@ -165,10 +165,4 @@ double cg_sustained_mflops(const machine::Machine& m,
   return seconds > 0 ? r.flops / seconds / 1e6 : 0.0;
 }
 
-double price_per_mflops(const machine::Machine& m, double efficiency,
-                        const machine::CostModel& cost) {
-  return cost.usd_per_sustained_mflops(m.packaging(), m.hw().cpu_clock_hz,
-                                       efficiency);
-}
-
 }  // namespace qcdoc::perf

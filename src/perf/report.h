@@ -1,6 +1,5 @@
-// Performance reporting: sustained efficiency, price/performance, and
-// paper-versus-measured comparison rows shared by the benches and
-// EXPERIMENTS.md generation.
+// Performance reporting: sustained efficiency and paper-versus-measured
+// comparison rows shared by the benches and EXPERIMENTS.md generation.
 #pragma once
 
 #include <string>
@@ -9,7 +8,6 @@
 #include "host/scheduler.h"
 #include "lattice/cg.h"
 #include "lattice/linalg.h"
-#include "machine/cost.h"
 #include "machine/machine.h"
 #include "sim/engine.h"
 
@@ -66,9 +64,5 @@ double cg_efficiency(const machine::Machine& m, const lattice::CgResult& r);
 /// Sustained Mflops of a CG run (whole machine).
 double cg_sustained_mflops(const machine::Machine& m,
                            const lattice::CgResult& r);
-
-/// Dollars per sustained Mflops of a machine running at `efficiency`.
-double price_per_mflops(const machine::Machine& m, double efficiency,
-                        const machine::CostModel& cost = machine::CostModel{});
 
 }  // namespace qcdoc::perf

@@ -71,7 +71,6 @@ void PirqDomain::window_boundary() {
   // host-affinity event legitimately pushes supervisor packets through every
   // node's SCU and wires, so the whole machine is its declared touched set.
   QCDOC_AFFSAN_TOUCH_ALL();
-  ++windows_run_;
   // Sample and deliver interrupts observed during the closing window, then
   // open the next window by flooding freshly raised lines.
   for (auto& [id, st] : nodes_) {

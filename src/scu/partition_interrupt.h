@@ -50,7 +50,6 @@ class PirqDomain {
   }
 
   Cycle window_cycles() const { return window_cycles_; }
-  u64 windows_run() const { return windows_run_; }
 
  private:
   struct NodeState {
@@ -72,7 +71,6 @@ class PirqDomain {
   std::map<u32, NodeState> nodes_;
   sim::SmallFn<void(NodeId, u8)> handler_;
   bool clock_running_ = false;
-  u64 windows_run_ = 0;
 };
 
 }  // namespace qcdoc::scu

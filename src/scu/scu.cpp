@@ -70,31 +70,6 @@ RecvDma& Scu::recv_dma(LinkIndex l) {
   return *recv_dma_[static_cast<std::size_t>(l.value)];
 }
 
-void Scu::store_send_descriptor(LinkIndex l, const DmaDescriptor& d) {
-  QCDOC_AFFSAN_CHECK(this);
-  stored_send_[static_cast<std::size_t>(l.value)] = d;
-}
-
-void Scu::store_recv_descriptor(LinkIndex l, const DmaDescriptor& d) {
-  QCDOC_AFFSAN_CHECK(this);
-  stored_recv_[static_cast<std::size_t>(l.value)] = d;
-}
-
-void Scu::start_stored(u32 send_mask, u32 recv_mask) {
-  QCDOC_AFFSAN_CHECK(this);
-  for (int l = 0; l < torus::kLinksPerNode; ++l) {
-    const auto idx = static_cast<std::size_t>(l);
-    if (recv_mask & (1u << l)) {
-      assert(stored_recv_[idx] && "no stored receive descriptor");
-      recv_dma_[idx]->start(*stored_recv_[idx]);
-    }
-    if (send_mask & (1u << l)) {
-      assert(stored_send_[idx] && "no stored send descriptor");
-      send_dma_[idx]->start(*stored_send_[idx]);
-    }
-  }
-}
-
 void Scu::send_supervisor(LinkIndex l, u64 word) {
   QCDOC_AFFSAN_CHECK(this);
   send_side(l).enqueue_supervisor(word);

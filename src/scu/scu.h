@@ -2,16 +2,19 @@
 //
 // One SCU manages 24 independent unidirectional connections: a send side and
 // a receive side for each of the 12 nearest neighbours in the 6-D mesh.  It
-// owns the DMA engines, the stored-descriptor registers ("for repetitive
-// transfers over the same link, the SCUs can store DMA instructions
-// internally, so that only a single write is needed to start up to 24
-// communications"), the supervisor-packet registers, and the per-link
+// owns the DMA engines, the supervisor-packet registers, and the per-link
 // checksums.
+//
+// The paper's stored DMA instructions ("only a single write is needed to
+// start up to 24 communications") save the CPU the register writes of a
+// repeated transfer.  The model charges the CPU nothing for programming a
+// descriptor, so a stored start would cost exactly what a
+// Communicator::post_shift start costs; stored descriptors are not
+// modelled.
 #pragma once
 
 #include <array>
 #include <memory>
-#include <optional>
 
 #include "common/rng.h"
 #include "memsys/memsys.h"
@@ -51,13 +54,6 @@ class Scu {
     return send_[static_cast<std::size_t>(l.value)] != nullptr;
   }
 
-  // --- Stored DMA descriptors -------------------------------------------
-  void store_send_descriptor(torus::LinkIndex l, const DmaDescriptor& d);
-  void store_recv_descriptor(torus::LinkIndex l, const DmaDescriptor& d);
-  /// Start stored transfers: bit i of each mask corresponds to link i.
-  /// This is the single-write start of up to 24 communications.
-  void start_stored(u32 send_mask, u32 recv_mask);
-
   // --- Supervisor packets -------------------------------------------------
   /// Send a 64-bit supervisor word to the neighbour on `l`; its arrival
   /// raises an interrupt at the remote CPU.
@@ -96,8 +92,6 @@ class Scu {
   std::array<std::unique_ptr<RecvSide>, torus::kLinksPerNode> recv_;
   std::array<std::unique_ptr<SendDma>, torus::kLinksPerNode> send_dma_;
   std::array<std::unique_ptr<RecvDma>, torus::kLinksPerNode> recv_dma_;
-  std::array<std::optional<DmaDescriptor>, torus::kLinksPerNode> stored_send_;
-  std::array<std::optional<DmaDescriptor>, torus::kLinksPerNode> stored_recv_;
   sim::SmallFn<void(torus::LinkIndex, u64)> supervisor_handler_;
   u32 faulted_links_ = 0;
 };

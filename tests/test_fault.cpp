@@ -94,25 +94,6 @@ TEST(FaultInjector, NodeCrashKillsEveryOutgoingWire) {
   EXPECT_EQ(m.mesh().condition(NodeId{0}), net::NodeCondition::kOk);
 }
 
-// --- Bounded power-on (satellite: no infinite training loop) ----------------
-
-TEST(Machine, PowerOnCheckedReportsUntrainedLinksInsteadOfLooping) {
-  machine::Machine m(small_config({2, 2, 1, 1, 1, 1}));
-  // A dead cable from the factory: this wire can never train.
-  m.mesh().wire(NodeId{0}, LinkIndex{0}).fail();
-  const auto report = m.power_on_checked();
-  EXPECT_FALSE(report.all_trained);
-  ASSERT_EQ(report.untrained.size(), 1u);
-  EXPECT_EQ(report.untrained[0].node, NodeId{0});
-  EXPECT_EQ(report.untrained[0].link, LinkIndex{0});
-
-  machine::Machine healthy(small_config({2, 2, 1, 1, 1, 1}));
-  const auto ok = healthy.power_on_checked();
-  EXPECT_TRUE(ok.all_trained);
-  EXPECT_TRUE(ok.untrained.empty());
-  EXPECT_GT(ok.cycles, 0u);
-}
-
 // --- Incremental checksum audit ---------------------------------------------
 
 TEST(ChecksumAudit, DeltaAuditCatchesCorruptionOnceThenRebaselines) {

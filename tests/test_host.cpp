@@ -211,6 +211,22 @@ partitions
   EXPECT_EQ(shell.exit_code(), 0);
 }
 
+/// Runs `setup` and then `line` on a fresh 4-node machine's shell, and
+/// expects `line` to be refused: one error line, exit code 1 and no node
+/// taken.
+void expect_refused(const std::vector<std::string>& setup,
+                    const std::string& line) {
+  machine::Machine m(small_machine({2, 2, 1, 1, 1, 1}));
+  Qdaemon daemon(&m);
+  Qcsh shell(&daemon);
+  for (const std::string& cmd : setup) shell.execute(cmd);
+  ASSERT_EQ(shell.exit_code(), 0) << line;
+  const int free_before = daemon.free_nodes();
+  EXPECT_EQ(shell.execute(line).size(), 1u) << line;
+  EXPECT_EQ(shell.exit_code(), 1) << line;
+  EXPECT_EQ(daemon.free_nodes(), free_before) << line;
+}
+
 TEST(Qcsh, ReportsErrorsWithNonzeroExit) {
   machine::Machine m(small_machine({2, 1, 1, 1, 1, 1}));
   Qdaemon daemon(&m);
@@ -221,6 +237,13 @@ TEST(Qcsh, ReportsErrorsWithNonzeroExit) {
   EXPECT_NE(shell.exit_code(), 0);
   EXPECT_FALSE(shell.execute("alloc bad 2xbroken 4").empty());
   EXPECT_FALSE(shell.execute("run nothing nowhere").empty());
+
+  expect_refused({}, "alloc a 2x2x1x1x1x1 4");  // before boot
+  expect_refused({"boot"}, "alloc t 2x2x1x1x1x1junk 4");
+  expect_refused({"boot"}, "alloc t 2x2x1x1x1x1x7 4");
+  expect_refused({"boot"}, "alloc t 2x2x1x1x1x1 4junk");
+  // Reusing a name would orphan the first partition's nodes.
+  expect_refused({"boot", "alloc x 1x2x1x1x1x1 2"}, "alloc x 1x2x1x1x1x1 2");
 }
 
 TEST(Qcsh, StatusCountsNodeStates) {

@@ -1,7 +1,7 @@
 // Multi-shift CG invariants: a >= 4-shift family converging in ONE Krylov
 // sequence, the zeta-recurrence tracking true shifted residuals, the
-// sigma = 0 base system bit-matching plain CG, bit-identical results across
-// engine thread counts, and audited-variant rollback behavior.
+// sigma = 0 base system bit-matching plain CG, and bit-identical results
+// across engine thread counts.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -165,74 +165,6 @@ TEST(Multishift, BitIdenticalAcrossEngineThreads) {
           << "thread variant " << t << ", word " << i;
     }
     EXPECT_EQ(cycles[t], cycles[0]);
-  }
-}
-
-TEST(Multishift, CleanAuditMatchesUnaudited) {
-  MultishiftParams params;
-  params.shifts = {0.0, 0.1, 0.5};
-  params.tolerance = 1e-8;
-  params.max_iterations = 400;
-
-  MsSetup plain({2, 2, 1, 1, 1, 1}, {4, 4, 4, 4});
-  auto xp = plain.solutions(params.shifts.size());
-  const MultishiftResult rp = multishift_solve(plain.op(), xp, plain.b(), params);
-
-  MsSetup audited({2, 2, 1, 1, 1, 1}, {4, 4, 4, 4});
-  auto xa = audited.solutions(params.shifts.size());
-  AuditParams audit;
-  audit.clean = [] { return true; };
-  audit.interval = 5;
-  const MultishiftResult ra =
-      multishift_solve_audited(audited.op(), xa, audited.b(), params, audit);
-
-  EXPECT_TRUE(rp.converged);
-  EXPECT_TRUE(ra.converged);
-  EXPECT_EQ(ra.iterations, rp.iterations);
-  EXPECT_EQ(ra.restarts, 0);
-  EXPECT_GT(ra.audits, 0u);
-  for (std::size_t i = 0; i < params.shifts.size(); ++i) {
-    const auto a = gather_global(*plain.rig.geom, xp[i]);
-    const auto b = gather_global(*audited.rig.geom, xa[i]);
-    for (std::size_t k = 0; k < a.size(); ++k) {
-      ASSERT_EQ(a[k], b[k]) << "shift " << i << ", word " << k;
-    }
-  }
-}
-
-TEST(Multishift, DirtyAuditRollsBackAndStillConverges) {
-  MultishiftParams params;
-  params.shifts = {0.0, 0.1, 0.5};
-  params.tolerance = 1e-8;
-  params.max_iterations = 400;
-
-  MsSetup plain({2, 2, 1, 1, 1, 1}, {4, 4, 4, 4});
-  auto xp = plain.solutions(params.shifts.size());
-  const MultishiftResult rp = multishift_solve(plain.op(), xp, plain.b(), params);
-  EXPECT_TRUE(rp.converged);
-
-  // The third audit reports corruption; the solver must restore the shadow
-  // working set (including the zeta scalars), replay the interval, and end
-  // on the same bits as the clean run.
-  MsSetup audited({2, 2, 1, 1, 1, 1}, {4, 4, 4, 4});
-  auto xa = audited.solutions(params.shifts.size());
-  int audit_no = 0;
-  AuditParams audit;
-  audit.clean = [&audit_no] { return ++audit_no != 3; };
-  audit.interval = 5;
-  const MultishiftResult ra =
-      multishift_solve_audited(audited.op(), xa, audited.b(), params, audit);
-
-  EXPECT_TRUE(ra.converged);
-  EXPECT_EQ(ra.restarts, 1);
-  EXPECT_EQ(ra.audit_failures, 1u);
-  EXPECT_EQ(ra.iterations, rp.iterations);
-  for (std::size_t i = 0; i < params.shifts.size(); ++i) {
-    const auto a = gather_global(*plain.rig.geom, xp[i]);
-    const auto b = gather_global(*audited.rig.geom, xa[i]);
-    for (std::size_t k = 0; k < a.size(); ++k) {
-      ASSERT_EQ(a[k], b[k]) << "shift " << i << ", word " << k;
-    }
   }
 }
 

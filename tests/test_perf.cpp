@@ -35,17 +35,6 @@ TEST(Report, EfficiencyAndSustainedFromCgResult) {
   EXPECT_NEAR(cg_sustained_mflops(m, r), 1000.0, 1e-9);
 }
 
-TEST(Report, PricePerMflopsMatchesCostModel) {
-  machine::MachineConfig cfg;
-  cfg.shape.extent = {2, 1, 1, 1, 1, 1};
-  cfg.clock_hz = 450e6;
-  machine::Machine m(cfg);
-  const machine::CostModel cost;
-  EXPECT_DOUBLE_EQ(
-      price_per_mflops(m, 0.45),
-      cost.usd_per_sustained_mflops(m.packaging(), 450e6, 0.45));
-}
-
 }  // namespace
 }  // namespace qcdoc::perf
 

@@ -66,7 +66,7 @@ Pin pin_of(const CgResult& r, const DistField& x) {
 }
 
 /// Multishift folds every shift's residual bits and every solution field
-/// into one FNV each.
+/// into one FNV each; it keeps no restart or audit counter.
 Pin pin_of(const MultishiftResult& r, const std::vector<DistField>& x) {
   u64 res = sim::detail::kFnvOffset;
   for (const double v : r.relative_residuals) {
@@ -74,9 +74,8 @@ Pin pin_of(const MultishiftResult& r, const std::vector<DistField>& x) {
   }
   u64 fx = sim::detail::kFnvOffset;
   for (const DistField& f : x) fx = sim::detail::fnv1a(fx, field_fnv(f));
-  return Pin{res,          fx,       r.iterations,
-             r.restarts,   0,        r.audits,
-             r.cycles,     std::bit_cast<u64>(r.flops)};
+  return Pin{res, fx, r.iterations, 0, 0, 0, r.cycles,
+             std::bit_cast<u64>(r.flops)};
 }
 
 /// The small Wilson fixture plus a half- or single-precision twin for the
@@ -160,15 +159,6 @@ CgAuditParams cg_audit(std::function<bool()> clean) {
   return a;
 }
 
-AuditParams ms_audit(std::function<bool()> clean) {
-  AuditParams a;
-  a.clean = std::move(clean);
-  a.mem_clean = nullptr;
-  a.interval = 5;
-  a.max_restarts = 8;
-  return a;
-}
-
 ResumableAuditParams<MixedCgWorkspace> mixed_audit(
     std::function<bool()> clean) {
   ResumableAuditParams<MixedCgWorkspace> a;
@@ -238,15 +228,6 @@ TEST(SolverGolden, MultishiftSolve) {
   EXPECT_EQ(pin_of(r, x), (Pin{0x3f3e5ccb90a88987ull, 0x4a8411a6b45079aull, 38, 0, 0, 0, 11409539, 0x417e5d6000000000ull}));
 }
 
-TEST(SolverGolden, MultishiftSolveAuditedOneDirtyInterval) {
-  Fixture f;
-  const MultishiftParams p = ms_params();
-  auto x = f.solutions(p.shifts.size());
-  const MultishiftResult r =
-      multishift_solve_audited(f.op(), x, f.b(), p, ms_audit(dirty_on(3)));
-  EXPECT_EQ(pin_of(r, x), (Pin{0x3f3e5ccb90a88987ull, 0x4a8411a6b45079aull, 38, 1, 0, 11, 13140254, 0x41812ad000000000ull}));
-}
-
 TEST(SolverGolden, MixedCgSolveSingle) {
   Fixture f(Precision::kSingle);
   const CgResult r = mixed_cg_solve(f.op(), f.sloppy(), f.x(), f.b(),
@@ -269,15 +250,6 @@ TEST(SolverGolden, MixedCgSolveAuditedOneDirtyInterval) {
   EXPECT_EQ(pin_of(r, f.x()), (Pin{0x3e12135acd527ee3ull, 0xf96748fef7f09021ull, 44, 1, 8, 11, 14120827, 0x4187253000000000ull}));
 }
 
-TEST(SolverGolden, MixedBicgstabSolve) {
-  Fixture f(Precision::kHalf);
-  MixedCgParams p = mixed_params(Precision::kHalf);
-  p.delta = 0.05;
-  const CgResult r =
-      mixed_bicgstab_solve(f.op(), f.sloppy(), f.x(), f.b(), p);
-  EXPECT_EQ(pin_of(r, f.x()), (Pin{0x3e3493d944a5a2dbull, 0x5fedfb75b0786d40ull, 15, 0, 5, 0, 5422881, 0x4170a7c000000000ull}));
-}
-
 // --- the give-up path ---------------------------------------------------------
 //
 // A detector that never comes back clean: the baseline audit spends every
@@ -290,18 +262,6 @@ TEST(SolverGolden, CgGivesUpOnAlwaysDirtyDetector) {
   Fixture f;
   const CgResult r = cg_solve_audited(f.op(), f.x(), f.b(), cg_params(),
                                       cg_audit([] { return false; }));
-  EXPECT_FALSE(r.converged);
-  EXPECT_EQ(r.restarts, kMaxRestarts);
-  EXPECT_EQ(r.audits, u64{kMaxRestarts + 2});
-  EXPECT_EQ(r.audit_failures, u64{kMaxRestarts + 2});
-}
-
-TEST(SolverGolden, MultishiftGivesUpOnAlwaysDirtyDetector) {
-  Fixture f;
-  const MultishiftParams p = ms_params();
-  auto x = f.solutions(p.shifts.size());
-  const MultishiftResult r = multishift_solve_audited(
-      f.op(), x, f.b(), p, ms_audit([] { return false; }));
   EXPECT_FALSE(r.converged);
   EXPECT_EQ(r.restarts, kMaxRestarts);
   EXPECT_EQ(r.audits, u64{kMaxRestarts + 2});
