@@ -6,10 +6,13 @@
 // wrong (the common case): the cycle price of a whole-machine health sweep,
 // a randomized fault soak exercising detection and retraining, and the
 // overhead the incremental checksum audit adds to a clean CG solve.
+#include <unistd.h>
+
 #include <bit>
 #include <chrono>
 #include <filesystem>
 #include <optional>
+#include <string>
 
 #include "bench_util.h"
 #include "fault/checksum_audit.h"
@@ -236,6 +239,7 @@ constexpr int kCkptInterval = 5;
 
 struct CkptPoint {
   const char* scenario = "";
+  bool write_failed = false;  ///< a capture or save lost a generation
   int checkpoints = 0;
   u64 bytes_last = 0;
   double write_ms_mean = 0;
@@ -299,12 +303,14 @@ CkptPoint checkpoint_solve(const char* scenario, int planned,
     snapshot::SnapshotFile file;
     if (snapshot::Status s = snapshot::capture_machine(m, extras, &file); !s) {
       std::printf("  checkpoint capture failed: %s\n", s.reason.c_str());
+      point.write_failed = true;
       return;
     }
     lattice::encode_checkpoint(ck, &file);
     const auto t0 = std::chrono::steady_clock::now();
     if (snapshot::Status s = store.save(&file); !s) {
       std::printf("  checkpoint save failed: %s\n", s.reason.c_str());
+      point.write_failed = true;
       return;
     }
     const double ms = std::chrono::duration<double, std::milli>(
@@ -392,18 +398,24 @@ RestartPoint restart_solve(const std::string& dir) {
   return point;
 }
 
-void checkpoint_class(std::vector<perf::Row>& rows) {
+/// Returns false when a generation failed to write or the restart leg could
+/// not load one.
+bool checkpoint_class(std::vector<perf::Row>& rows) {
   std::printf("checkpoint class: cadence, snapshot size and write latency\n");
   std::vector<CkptPoint> points;
+  bool ok = true;
   for (const auto& [scenario, planned] :
        {std::pair<const char*, int>{"clean", 0}, {"mem_upset_restart", 128}}) {
+    // Per process, so concurrent runs never delete each other's generations.
     const std::string dir =
         (std::filesystem::temp_directory_path() /
-         (std::string("qcdoc_bench_ckpt_") + scenario))
+         (std::string("qcdoc_bench_ckpt_") + scenario + "_" +
+          std::to_string(::getpid())))
             .string();
     std::filesystem::remove_all(dir);
     points.push_back(checkpoint_solve(scenario, planned, dir));
     const CkptPoint& p = points.back();
+    ok = ok && !p.write_failed;
     std::printf(
         "{\"checkpoint_point\": {\"scenario\": \"%s\", \"interval_iters\": %d, "
         "\"checkpoints\": %d, \"snapshot_bytes\": %llu, "
@@ -430,7 +442,9 @@ void checkpoint_class(std::vector<perf::Row>& rows) {
           rp.restore_ms, rp.iterations, bit_exact ? "true" : "false");
       rows.push_back({"E14", "restart resume bit-exact", 0,
                       bit_exact ? 1.0 : 0.0, "1=yes"});
+      ok = ok && rp.ok;
     }
+    std::filesystem::remove_all(dir);
   }
   const CkptPoint& upset = points.back();
   rows.push_back({"E14", "snapshot size under mem upsets", 0,
@@ -438,6 +452,7 @@ void checkpoint_class(std::vector<perf::Row>& rows) {
                   "MB"});
   rows.push_back({"E14", "checkpoint write latency (mean)", 0,
                   upset.write_ms_mean, "ms"});
+  return ok;
 }
 
 }  // namespace
@@ -471,7 +486,7 @@ int main() {
   std::printf("\n");
   mem_fault_class(rows);
   std::printf("\n");
-  checkpoint_class(rows);
+  const bool checkpoints_ok = checkpoint_class(rows);
   bench::print_rows(rows);
-  return 0;
+  return checkpoints_ok ? 0 : 1;
 }

@@ -55,6 +55,13 @@ void DistField::zero() {
   }
 }
 
+void DistField::round_to_storage() {
+  if (precision_ == Precision::kDouble) return;
+  for (int r = 0; r < ranks(); ++r) {
+    quantize_in_place(data(r), precision_, quant_block_words());
+  }
+}
+
 // --- HaloSet ----------------------------------------------------------------
 
 HaloSet::HaloSet(comms::Communicator* comm, const GlobalGeometry* geom,

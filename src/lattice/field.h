@@ -60,6 +60,11 @@ class DistField {
   Precision precision() const { return precision_; }
   void set_precision(Precision p) { precision_ = p; }
 
+  /// Round the body on every rank to the storage precision, as the narrow
+  /// store path would: the FieldOps streams and the twisted-mass term end
+  /// with this.  A no-op for double fields.
+  void round_to_storage();
+
   /// Block size of the half-precision codec for this field: one site block
   /// (capped so deep fifth-dimension fields still share per-spinor-slice
   /// exponents rather than one exponent per 5-D column).

@@ -99,13 +99,6 @@ cpu::KernelProfile FieldOps::stream_profile(
   return p;
 }
 
-void FieldOps::finish_write(DistField& y) {
-  if (y.precision() == Precision::kDouble) return;
-  for (int r = 0; r < y.ranks(); ++r) {
-    quantize_in_place(y.data(r), y.precision(), y.quant_block_words());
-  }
-}
-
 void FieldOps::account_kernel(const cpu::KernelProfile& per_node, int ranks,
                               Precision p) {
   const double k = static_cast<double>(ranks);
@@ -126,7 +119,7 @@ void FieldOps::axpy(double a, const DistField& x, DistField& y) {
     auto ys = y.data(r);
     for (std::size_t i = 0; i < xs.size(); ++i) ys[i] += a * xs[i];
   }
-  finish_write(y);
+  y.round_to_storage();
   const auto p = stream_profile({&x, &y}, &y, /*fmadd=*/2.0, /*other=*/0.0);
   bsp_->compute(cpu_->kernel_cycles(p));
 }
@@ -138,7 +131,7 @@ void FieldOps::xpay(const DistField& x, double a, DistField& y) {
     auto ys = y.data(r);
     for (std::size_t i = 0; i < xs.size(); ++i) ys[i] = xs[i] + a * ys[i];
   }
-  finish_write(y);
+  y.round_to_storage();
   const auto p = stream_profile({&x, &y}, &y, 2.0, 0.0);
   bsp_->compute(cpu_->kernel_cycles(p));
 }
@@ -150,7 +143,7 @@ void FieldOps::axpby(double a, const DistField& x, double b, DistField& y) {
     auto ys = y.data(r);
     for (std::size_t i = 0; i < xs.size(); ++i) ys[i] = a * xs[i] + b * ys[i];
   }
-  finish_write(y);
+  y.round_to_storage();
   const auto p = stream_profile({&x, &y}, &y, 2.0, 1.0);
   bsp_->compute(cpu_->kernel_cycles(p));
 }
@@ -162,7 +155,7 @@ void FieldOps::scale_copy(double a, const DistField& x, DistField& y) {
     auto ys = y.data(r);
     for (std::size_t i = 0; i < xs.size(); ++i) ys[i] = a * xs[i];
   }
-  finish_write(y);
+  y.round_to_storage();
   const auto p = stream_profile({&x}, &y, 0.0, 1.0);
   bsp_->compute(cpu_->kernel_cycles(p));
 }
@@ -174,7 +167,7 @@ void FieldOps::copy(const DistField& x, DistField& y) {
     auto ys = y.data(r);
     for (std::size_t i = 0; i < xs.size(); ++i) ys[i] = xs[i];
   }
-  finish_write(y);
+  y.round_to_storage();
   const auto p = stream_profile({&x}, &y, 0.0, 0.0);
   bsp_->compute(cpu_->kernel_cycles(p));
 }
@@ -243,7 +236,7 @@ void FieldOps::caxpy(const Complex& a, const DistField& x, DistField& y) {
       ys[i + 1] += a.real() * xs[i + 1] + a.imag() * xs[i];
     }
   }
-  finish_write(y);
+  y.round_to_storage();
   const auto p = stream_profile({&x, &y}, &y, 4.0, 0.0);
   bsp_->compute(cpu_->kernel_cycles(p));
 }
@@ -260,7 +253,7 @@ void FieldOps::cxpay(const DistField& x, const Complex& a, DistField& y) {
       ys[i + 1] = xs[i + 1] + a.real() * yi + a.imag() * yr;
     }
   }
-  finish_write(y);
+  y.round_to_storage();
   const auto p = stream_profile({&x, &y}, &y, 4.0, 0.0);
   bsp_->compute(cpu_->kernel_cycles(p));
 }

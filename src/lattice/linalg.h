@@ -103,9 +103,6 @@ class FieldOps {
                                     const DistField* write,
                                     double fmadd_per_double,
                                     double other_per_double);
-  /// Round a just-written field down to its storage precision (models the
-  /// narrow store path; no-op for double fields).
-  void finish_write(DistField& y);
   double global_sum(double local_partial_flops_hint, std::vector<double> partials);
 
   machine::BspRunner* bsp_;

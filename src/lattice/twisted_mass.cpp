@@ -44,11 +44,7 @@ void TwistedMassDirac::add_twist(DistField& out, const DistField& in,
       }
     }
   }
-  if (out.precision() != Precision::kDouble) {
-    for (int r = 0; r < out.ranks(); ++r) {
-      quantize_in_place(out.data(r), out.precision(), out.quant_block_words());
-    }
-  }
+  out.round_to_storage();
   const auto p = twist_profile();
   ops_->bsp().compute(ops_->cpu().kernel_cycles(p));
   ops_->account_kernel(p, geom_->ranks(), params_.precision);

@@ -1,12 +1,15 @@
 // Property tests for the half-precision block-floating-point codec: the
 // documented guarantees in lattice/precision.h (round-trip bound, exact
-// zeros, power-of-two scaling, overflow clamp, denormal-adjacent blocks)
-// plus a seeded fuzz loop over random blocks.
+// zeros, power-of-two scaling, overflow clamp, denormal-adjacent blocks),
+// a seeded fuzz loop over random blocks, and a bit-for-bit comparison of
+// the codec's inline path against its frexp/ldexp/llround definition.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <vector>
 
@@ -170,6 +173,146 @@ TEST(BlockFloat, FuzzRoundTripBound) {
       ASSERT_EQ(q2[i], q[i]) << "rep " << rep << ", word " << i;
     }
   }
+}
+
+// The codec's definition: frexp picks the shared exponent, ldexp scales and
+// llround rounds half away from zero.  The library's inline path must give
+// these bits for every block.
+std::int32_t libm_encode(std::span<const double> block,
+                         std::span<std::int16_t> mant) {
+  double amax = 0;
+  for (const double v : block) amax = std::max(amax, std::abs(v));
+  if (amax == 0.0) {
+    for (auto& m : mant) m = 0;
+    return 0;
+  }
+  int e = 0;
+  (void)std::frexp(amax, &e);
+  for (std::size_t i = 0; i < block.size(); ++i) {
+    long long m = std::llround(std::ldexp(block[i], 15 - e));
+    if (m > 32767) m = 32767;
+    if (m < -32767) m = -32767;
+    mant[i] = static_cast<std::int16_t>(m);
+  }
+  return e;
+}
+
+void libm_decode(std::int32_t exponent, std::span<const std::int16_t> mant,
+                 std::span<double> out) {
+  for (std::size_t i = 0; i < mant.size(); ++i) {
+    out[i] = std::ldexp(static_cast<double>(mant[i]), exponent - 15);
+  }
+}
+
+// Whether 2^k is a normal double.  The inline path encodes a finite,
+// nonzero block when both 2^(15-e) and 2^(e-15) are, and decodes when
+// 2^(e-15) is.
+bool normal_pow2(int k) { return std::isnormal(std::ldexp(1.0, k)); }
+
+/// A block exponent: mostly solver-like, plus the whole double range and
+/// both ends of the inline path's exponent window.
+int fuzz_exponent(Rng& rng) {
+  switch (rng.next_below(4)) {
+    case 0:
+      return static_cast<int>(rng.next_below(61)) - 30;
+    case 1:
+      return static_cast<int>(rng.next_below(2100)) - 1075;
+    case 2:
+      return static_cast<int>(rng.next_below(81)) - 1050;
+    default:
+      return static_cast<int>(rng.next_below(31)) + 994;
+  }
+}
+
+/// One word of a block whose largest words sit near 2^e.
+double fuzz_word(Rng& rng, int e) {
+  const double sign = rng.next_bool(0.5) ? 1.0 : -1.0;
+  const auto kind = rng.next_below(64);
+  if (kind == 0) return std::bit_cast<double>(rng.next_u64());  // any bits
+  if (kind == 1) {
+    return rng.next_bool(0.5) ? std::numeric_limits<double>::quiet_NaN()
+                              : sign * std::numeric_limits<double>::infinity();
+  }
+  if (kind < 6) return sign * 0.0;
+  if (kind < 14) {
+    // An exact tie (j + 1/2) * 2^(e-15), j in [-32767, 32767]: half the ties
+    // have an even j, where round-half-even and llround disagree.
+    const double j = static_cast<double>(rng.next_below(65535)) - 32767.0;
+    return std::ldexp(j + 0.5, e - 15);
+  }
+  if (kind < 16) {
+    // Just under 2^e: scales to just under 2^15 and rounds onto the clamp.
+    return sign * std::nextafter(std::ldexp(1.0, e), 0.0);
+  }
+  if (kind < 24) {
+    const int drop = 16 + static_cast<int>(rng.next_below(60));
+    return std::ldexp(rng.next_gaussian(), e - drop);  // a mantissa near 0
+  }
+  return std::ldexp(2.0 * rng.next_double() - 1.0, e);
+}
+
+TEST(BlockFloat, InlineCodecMatchesLibmReference) {
+  // Bit-for-bit agreement of encode, decode, quantize and
+  // quantize_in_place(kHalf) with the frexp/ldexp/llround definition, over
+  // blocks the inline path serves and blocks it hands to libm.
+  Rng rng(20261020);
+  int inline_blocks = 0, libm_blocks = 0;
+  int inline_decodes = 0, libm_decodes = 0;
+  for (int rep = 0; rep < 200000; ++rep) {
+    const std::size_t n = 1 + rng.next_below(24);
+    const int e_target = fuzz_exponent(rng);
+    std::vector<double> block(n);
+    for (double& v : block) v = fuzz_word(rng, e_target);
+
+    std::vector<std::int16_t> want_mant(n), got_mant(n);
+    const std::int32_t want_e = libm_encode(block, want_mant);
+    const std::int32_t got_e = block_float_encode(block, got_mant);
+    ASSERT_EQ(got_e, want_e) << "rep " << rep;
+    ASSERT_EQ(std::memcmp(got_mant.data(), want_mant.data(), n * 2), 0)
+        << "mantissas differ, rep " << rep;
+
+    const bool finite = std::all_of(block.begin(), block.end(),
+                                    [](double v) { return std::isfinite(v); });
+    const bool zero = std::all_of(block.begin(), block.end(),
+                                  [](double v) { return v == 0.0; });
+    if (finite && !zero && normal_pow2(15 - want_e) &&
+        normal_pow2(want_e - 15)) {
+      ++inline_blocks;
+    } else {
+      ++libm_blocks;
+    }
+
+    std::vector<double> want(n), got(n);
+    libm_decode(want_e, want_mant, want);
+    block_float_decode(want_e, want_mant, got);
+    ASSERT_EQ(std::memcmp(got.data(), want.data(), n * 8), 0)
+        << "decode differs, rep " << rep;
+
+    std::vector<double> q = block;
+    block_float_quantize(q);
+    ASSERT_EQ(std::memcmp(q.data(), want.data(), n * 8), 0)
+        << "block_float_quantize differs, rep " << rep;
+    std::vector<double> qp = block;
+    quantize_in_place(qp, Precision::kHalf, static_cast<int>(n));
+    ASSERT_EQ(std::memcmp(qp.data(), want.data(), n * 8), 0)
+        << "quantize_in_place differs, rep " << rep;
+
+    // Decode also takes exponents no encode produces, up to overflow to inf.
+    const auto e_any = static_cast<std::int32_t>(rng.next_below(2201)) - 1100;
+    libm_decode(e_any, want_mant, want);
+    block_float_decode(e_any, want_mant, got);
+    ASSERT_EQ(std::memcmp(got.data(), want.data(), n * 8), 0)
+        << "decode at exponent " << e_any << " differs, rep " << rep;
+    if (normal_pow2(e_any - 15)) {
+      ++inline_decodes;
+    } else {
+      ++libm_decodes;
+    }
+  }
+  EXPECT_GT(inline_blocks, 10000);
+  EXPECT_GT(libm_blocks, 10000);
+  EXPECT_GT(inline_decodes, 10000);
+  EXPECT_GT(libm_decodes, 10000);
 }
 
 TEST(QuantizeInPlace, DoubleIsIdentitySingleRoundsHalfBlocks) {
