@@ -22,18 +22,17 @@ namespace {
 /// window size.
 double bandwidth_fraction(int window) {
   sim::Engine engine;
-  sim::StatSet stats;
   hssl::HsslConfig hc;
   hc.training_cycles = 16;
   Rng rng(42);
   LinkParams params;
   params.ack_window = window;
-  auto wab = std::make_unique<hssl::Hssl>(&engine, hc, rng.split(), &stats);
-  auto wba = std::make_unique<hssl::Hssl>(&engine, hc, rng.split(), &stats);
-  SendSide send_a(&engine, wab.get(), params, &stats);
-  SendSide send_b(&engine, wba.get(), params, &stats);
-  RecvSide recv_a(&engine, params, &stats, rng.split());
-  RecvSide recv_b(&engine, params, &stats, rng.split());
+  auto wab = std::make_unique<hssl::Hssl>(&engine, hc, rng.split());
+  auto wba = std::make_unique<hssl::Hssl>(&engine, hc, rng.split());
+  SendSide send_a(&engine, wab.get(), params);
+  SendSide send_b(&engine, wba.get(), params);
+  RecvSide recv_a(&engine, params, rng.split());
+  RecvSide recv_b(&engine, params, rng.split());
   send_a.set_remote(&recv_b);
   send_b.set_remote(&recv_a);
   recv_b.set_reverse(&send_b);

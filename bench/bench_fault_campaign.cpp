@@ -53,8 +53,7 @@ void soak() {
   hc.sweep_period_cycles = 1 << 21;  // ~4 ms at 500 MHz, well above sweep cost
   host::HealthMonitor& monitor = daemon.health(hc);
 
-  sim::StatSet fstats;
-  fault::FaultInjector injector(&m.mesh(), &fstats);
+  fault::FaultInjector injector(&m.mesh());
   const Cycle start = m.engine().now();
   const Cycle horizon = 8 * hc.sweep_period_cycles;
   const auto plan = fault::FaultPlan::random_campaign(
@@ -73,14 +72,15 @@ void soak() {
               static_cast<unsigned long long>(monitor.sweeps()),
               static_cast<unsigned long long>(daemon.watchdog().checks()));
   bench::print_engine(m);
-  for (const char* key : {"fault.ber_spike", "fault.link_death",
-                          "fault.ack_drop_burst", "fault.data_corruption"}) {
-    std::printf("  %-22s %llu\n", key,
-                static_cast<unsigned long long>(fstats.get(key)));
+  for (const fault::FaultKind kind :
+       {fault::FaultKind::kBerSpike, fault::FaultKind::kLinkDeath,
+        fault::FaultKind::kAckDropBurst, fault::FaultKind::kDataCorruption}) {
+    const std::string key = std::string("fault.") + fault::to_string(kind);
+    std::printf("  %-22s %llu\n", key.c_str(),
+                static_cast<unsigned long long>(injector.injected(kind)));
   }
   std::printf("  retrains %llu, nodes quarantined %zu of %d\n",
-              static_cast<unsigned long long>(
-                  monitor.stats().get("health.retrains")),
+              static_cast<unsigned long long>(monitor.retrains()),
               daemon.quarantined_nodes().size(), m.num_nodes());
 }
 
@@ -148,7 +148,7 @@ MemPoint mem_solve(int planned) {
   x.zero();
   rig.fill_source(b);
 
-  fault::FaultInjector injector(&m.mesh(), nullptr);
+  fault::FaultInjector injector(&m.mesh());
   fault::MemCheckAuditor mem_auditor(&m.mesh());
   if (planned > 0) {
     memsys::ScrubConfig scrub;
@@ -276,7 +276,7 @@ CkptPoint checkpoint_solve(const char* scenario, int planned,
   x.zero();
   rig.fill_source(b);
 
-  fault::FaultInjector injector(&m.mesh(), nullptr);
+  fault::FaultInjector injector(&m.mesh());
   fault::MemCheckAuditor mem_auditor(&m.mesh());
   if (planned > 0) {
     memsys::ScrubConfig scrub;
@@ -356,7 +356,7 @@ RestartPoint restart_solve(const std::string& dir) {
   rig.fill_source(b);
   lattice::CgWorkspace ws = lattice::CgWorkspace::make(op);
 
-  fault::FaultInjector injector(&m.mesh(), nullptr);
+  fault::FaultInjector injector(&m.mesh());
   fault::MemCheckAuditor mem_auditor(&m.mesh());
   snapshot::MachineExtras extras;
   extras.mem_auditor = &mem_auditor;

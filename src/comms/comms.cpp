@@ -21,10 +21,9 @@ void Communicator::post_shift(int ldim, Dir dir,
     const torus::Coord lc = partition_->logical_coord(r);
     const auto step = partition_->step(lc, ldim, dir);
     assert(step.single_hop && "shift requires a nearest-neighbour embedding");
-    if (step.to == step.from) {
-      // Logical extent 1: the shift is a local copy; the data loops back
-      // through this node's own wire pair (the torus self-link).
-    }
+    // At logical extent 1 (step.to == step.from) the shift is a local copy:
+    // the data loops back through this node's own wire pair (the torus
+    // self-link).
     // Receiver rank: the logical coordinate one step along.
     torus::Coord to_lc = lc;
     const int e = partition_->logical_shape().extent[ldim];

@@ -190,8 +190,7 @@ FaultPlan FaultPlan::from_events(std::vector<FaultEvent> events) {
   return plan;
 }
 
-FaultInjector::FaultInjector(net::MeshNet* mesh, sim::StatSet* stats)
-    : mesh_(mesh), stats_(stats) {}
+FaultInjector::FaultInjector(net::MeshNet* mesh) : mesh_(mesh) {}
 
 void FaultInjector::arm(const FaultPlan& plan) {
   // Injection is a host action (the campaign driver lives outside the
@@ -221,6 +220,14 @@ std::vector<FaultEvent> FaultInjector::pending_plan() const {
   return out;
 }
 
+u64 FaultInjector::injected(FaultKind kind) const {
+  u64 n = 0;
+  for (const auto& [e, fired] : armed_) {
+    if (fired && e.kind == kind) ++n;
+  }
+  return n;
+}
+
 std::size_t FaultInjector::pending_count() const {
   std::size_t n = 0;
   for (const auto& [e, fired] : armed_) {
@@ -231,10 +238,6 @@ std::size_t FaultInjector::pending_count() const {
 
 void FaultInjector::apply(const FaultEvent& e) {
   ++injected_;
-  if (stats_) {
-    stats_->add("fault.injected");
-    stats_->add(std::string("fault.") + to_string(e.kind));
-  }
   QCDOC_INFO << "fault: " << to_string(e.kind) << " node " << e.node.value
              << " link " << e.link.value << " at cycle "
              << mesh_->engine().now();

@@ -14,7 +14,6 @@
 #include "common/rng.h"
 #include "common/types.h"
 #include "net/mesh_net.h"
-#include "sim/stats.h"
 #include "torus/coords.h"
 
 namespace qcdoc::fault {
@@ -125,16 +124,15 @@ class FaultPlan {
 /// to the SCU escalation path and the host health monitor.
 class FaultInjector {
  public:
-  FaultInjector(net::MeshNet* mesh, sim::StatSet* stats = nullptr);
+  explicit FaultInjector(net::MeshNet* mesh);
 
   /// Schedule every event of `plan`.  Events whose time is already in the
   /// past fire at now().  May be called repeatedly with different plans.
   void arm(const FaultPlan& plan);
 
-  /// Apply one event immediately (the scheduled path calls this too).
-  void apply(const FaultEvent& e);
-
   u64 injected() const { return injected_; }
+  /// Fired events of `kind` among those this injector armed.
+  u64 injected(FaultKind kind) const;
 
   /// Armed-but-unfired events: the plan remainder a snapshot carries so a
   /// restored process can re-arm exactly the faults still to come.  These
@@ -146,8 +144,10 @@ class FaultInjector {
   void restore_injected(u64 n) { injected_ = n; }
 
  private:
+  /// Break what `e` names: the body of every event arm() schedules.
+  void apply(const FaultEvent& e);
+
   net::MeshNet* mesh_;
-  sim::StatSet* stats_;
   u64 injected_ = 0;
   /// Every event ever armed, with its fired flag.  Host-affinity events run
   /// only on the coordinator thread, so no locking is needed.

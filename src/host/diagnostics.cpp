@@ -15,11 +15,16 @@ LinkErrorScan Diagnostics::scan_link_errors() const {
   LinkErrorScan scan;
   for (int i = 0; i < machine_->num_nodes(); ++i) {
     const NodeId n{static_cast<u32>(i)};
-    const auto& stats = machine_->mesh().stats(n);
-    const u64 detected = stats.get("scu.detected_errors");
-    const u64 undetected = stats.get("scu.undetected_errors");
-    const u64 resends =
-        stats.get("scu.nack_resends") + stats.get("scu.timeout_resends");
+    scu::Scu& node_scu = machine_->mesh().scu(n);
+    u64 detected = 0;
+    u64 undetected = 0;
+    u64 resends = 0;
+    for (int l = 0; l < torus::kLinksPerNode; ++l) {
+      const torus::LinkIndex link{l};
+      detected += node_scu.recv_side(link).detected_errors();
+      undetected += node_scu.recv_side(link).undetected_errors();
+      resends += node_scu.send_side(link).resends();
+    }
     scan.detected_errors += detected;
     scan.undetected_errors += undetected;
     scan.resends += resends;

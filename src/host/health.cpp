@@ -38,7 +38,7 @@ void HealthMonitor::classify_node(NodeId node, HealthSweep* out) {
     if (mesh.wire(owner, l).state() == hssl::LinkState::kTraining) return;
     mesh.wire(owner, l).retrain();
     mesh.scu(owner).clear_link_fault(l);
-    stats_.add("health.retrains");
+    ++retrains_;
     rep.retrained.push_back(net::LinkRef{owner, l});
   };
 
@@ -50,7 +50,6 @@ void HealthMonitor::classify_node(NodeId node, HealthSweep* out) {
     eth_->node_to_host(node, 64, [&probe_done] { probe_done = true; });
   });
   machine_->engine().run_while([&] { return !probe_done; });
-  stats_.add("health.jtag_probes");
 
   NodeHealth verdict = NodeHealth::kHealthy;
   const net::NodeCondition cond = mesh.condition(node);
@@ -83,7 +82,6 @@ void HealthMonitor::classify_node(NodeId node, HealthSweep* out) {
     const bool escalated = (node_scu.faulted_links() >> l) & 1u;
     if (escalated || resend_delta >= cfg_.degraded_resend_delta) {
       if (verdict == NodeHealth::kHealthy) verdict = NodeHealth::kDegraded;
-      stats_.add("health.degraded_links");
       rep.notes.push_back("node " + std::to_string(i) + " link " +
                           std::to_string(l) +
                           (escalated ? ": link-fault escalation"
@@ -94,7 +92,6 @@ void HealthMonitor::classify_node(NodeId node, HealthSweep* out) {
       // Our receive side saw the parity failures, but the marginal wire
       // is the *incoming* one, owned by the neighbour on the facing link.
       if (verdict == NodeHealth::kHealthy) verdict = NodeHealth::kDegraded;
-      stats_.add("health.degraded_links");
       rep.notes.push_back("node " + std::to_string(i) + " link " +
                           std::to_string(l) + ": receive error burst");
       retrain_wire(topo.neighbor(node, link), torus::facing_link(link));
@@ -114,7 +111,6 @@ void HealthMonitor::classify_node(NodeId node, HealthSweep* out) {
   rep.mem_corrected += corrected_delta;
   if (corrected_delta >= cfg_.degraded_corrected_mem_delta) {
     if (verdict == NodeHealth::kHealthy) verdict = NodeHealth::kDegraded;
-    stats_.add("health.mem_corrected_bursts");
     rep.notes.push_back("node " + std::to_string(i) + ": " +
                         std::to_string(corrected_delta) +
                         " corrected memory errors since last sweep");
@@ -123,7 +119,6 @@ void HealthMonitor::classify_node(NodeId node, HealthSweep* out) {
   if (!checks.empty()) {
     ++rep.machine_checked;
     rep.mem_uncorrectable += checks.size();
-    stats_.add("health.mem_checks", checks.size());
     if (verdict == NodeHealth::kHealthy) verdict = NodeHealth::kDegraded;
     rep.notes.push_back("node " + std::to_string(i) + ": " +
                         std::to_string(checks.size()) +
@@ -140,7 +135,6 @@ void HealthMonitor::classify_node(NodeId node, HealthSweep* out) {
     verdict = NodeHealth::kFailed;  // failure is sticky
   } else if (verdict == NodeHealth::kFailed) {
     rep.newly_failed.push_back(node);
-    stats_.add("health.failed_nodes");
     if (qdaemon_) qdaemon_->quarantine_node(node);
   }
   health_[static_cast<std::size_t>(i)] = verdict;
@@ -153,7 +147,6 @@ void HealthMonitor::classify_node(NodeId node, HealthSweep* out) {
 
 HealthSweep HealthMonitor::sweep() {
   ++sweeps_;
-  stats_.add("health.sweeps");
   HealthSweep rep;
   const int n = machine_->num_nodes();
   for (int i = 0; i < n; ++i) {
@@ -165,7 +158,6 @@ HealthSweep HealthMonitor::sweep() {
 }
 
 HealthSweep HealthMonitor::probe_nodes(std::span<const NodeId> nodes) {
-  stats_.add("health.targeted_probes");
   HealthSweep rep;
   for (const NodeId n : nodes) classify_node(n, &rep);
   rep.at = machine_->engine().now();
@@ -177,8 +169,6 @@ void HealthMonitor::report_external_failure(NodeId n,
                                             const std::string& reason) {
   if (health_[n.value] == NodeHealth::kFailed) return;
   health_[n.value] = NodeHealth::kFailed;
-  stats_.add("health.failed_nodes");
-  stats_.add("health.external_failures");
   QCDOC_INFO << "health: node " << n.value
              << " failed (external report): " << reason;
   if (qdaemon_) qdaemon_->quarantine_node(n);

@@ -17,7 +17,6 @@
 #include "common/types.h"
 #include "machine/machine.h"
 #include "net/ethernet.h"
-#include "sim/stats.h"
 
 namespace qcdoc::host {
 
@@ -106,7 +105,8 @@ class HealthMonitor {
 
   NodeHealth health(NodeId n) const { return health_[n.value]; }
   u64 sweeps() const { return sweeps_; }
-  const sim::StatSet& stats() const { return stats_; }
+  /// Wires this monitor retrained.
+  u64 retrains() const { return retrains_; }
   const HealthConfig& config() const { return cfg_; }
 
   /// Classification plus per-wire/per-node counter baselines as captured
@@ -142,7 +142,7 @@ class HealthMonitor {
   /// Per node: ECC corrected-error baseline from the previous sweep.
   std::vector<u64> mem_corrected_base_;
   u64 sweeps_ = 0;
-  sim::StatSet stats_;
+  u64 retrains_ = 0;
 };
 
 }  // namespace qcdoc::host

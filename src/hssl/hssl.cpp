@@ -17,14 +17,8 @@ const char* to_string(LinkState s) {
   return "?";
 }
 
-Hssl::Hssl(sim::EngineRef engine, HsslConfig cfg, Rng error_stream,
-           sim::StatSet* stats)
-    : engine_(engine), delivery_(engine), cfg_(cfg), errors_(error_stream),
-      stats_(stats) {
-  if (stats_) {
-    stat_frames_ = stats_->cell("hssl.frames");
-    stat_bits_ = stats_->cell("hssl.bits");
-  }
+Hssl::Hssl(sim::EngineRef engine, HsslConfig cfg, Rng error_stream)
+    : engine_(engine), delivery_(engine), cfg_(cfg), errors_(error_stream) {
   set_bit_error_rate(cfg_.bit_error_rate);  // clamp whatever the config holds
 }
 
@@ -55,7 +49,6 @@ void Hssl::begin_training() {
     trained_at_ = engine_.now();
     busy_cycles_ = 0;
     ++times_trained_;
-    if (stats_) stats_->add("hssl.trained");
     start_next();
     if (!busy_ && on_ready_) on_ready_();
   });
@@ -76,7 +69,6 @@ void Hssl::fail() {
   busy_ = false;
   queue_.clear();  // bits in flight never arrive
   ++epoch_;
-  if (stats_) stats_->add("hssl.failures");
 }
 
 void Hssl::retrain() {
@@ -85,7 +77,7 @@ void Hssl::retrain() {
   ++epoch_;
   busy_ = false;
   queue_.clear();
-  if (stats_) stats_->add("hssl.retrains");
+  ++retrains_;
   begin_training();
 }
 
@@ -101,7 +93,6 @@ u64 Hssl::transmit(const Frame& frame) {
   if (state_ == LinkState::kDown || state_ == LinkState::kFailed ||
       frame.bits <= 0) {
     ++rejected_frames_;
-    if (stats_) stats_->add("hssl.rejected_frames");
     QCDOC_WARN << "hssl: transmit rejected (" << to_string(state_)
                << " link, " << frame.bits << " bits)";
     return kRejected;
@@ -126,11 +117,9 @@ void Hssl::start_next() {
     }
   }
   busy_cycles_ += static_cast<Cycle>(frame.bits);
-  if (stats_) {
-    ++*stat_frames_;
-    *stat_bits_ += static_cast<u64>(frame.bits);
-    if (flipped > 0) stats_->add("hssl.bits_flipped", static_cast<u64>(flipped));
-  }
+  ++frames_;
+  bits_ += static_cast<u64>(frame.bits);
+  bits_flipped_ += static_cast<u64>(flipped);
 
   // The sender's serializer frees up after the last bit leaves; delivery at
   // the far end happens one wire delay later.  Both events are void if the

@@ -27,7 +27,6 @@
 #include "common/types.h"
 #include "sim/engine.h"
 #include "sim/event_fn.h"
-#include "sim/stats.h"
 
 namespace qcdoc::hssl {
 
@@ -72,8 +71,7 @@ class Hssl {
   /// unpowered).  Callers must treat it as a hard link fault.
   static constexpr u64 kRejected = ~0ull;
 
-  Hssl(sim::EngineRef engine, HsslConfig cfg, Rng error_stream,
-       sim::StatSet* stats);
+  Hssl(sim::EngineRef engine, HsslConfig cfg, Rng error_stream);
 
   /// Deliveries happen at the *receiving* node: tell the engine which one,
   /// so the parallel engine can route the delivery event to the right shard.
@@ -103,8 +101,9 @@ class Hssl {
   void set_receiver(Receiver r) { receiver_ = std::move(r); }
 
   /// Queue `frame` (of `frame.bits` bits) for transmission.  Returns its
-  /// frame id, or kRejected (with a stat and a warning) when the link
-  /// cannot carry it.  Frames serialize strictly in order at 1 bit/cycle.
+  /// frame id, or kRejected (counted in rejected_frames(), with a warning)
+  /// when the link cannot carry it.  Frames serialize strictly in order at
+  /// 1 bit/cycle.
   u64 transmit(const Frame& frame);
 
   /// Called whenever the serializer becomes free (including right after
@@ -132,6 +131,12 @@ class Hssl {
 
   u64 times_trained() const { return times_trained_; }
   u64 rejected_frames() const { return rejected_frames_; }
+  /// Frames serialized onto the wire, their bits, and the bits flipped.
+  u64 frames() const { return frames_; }
+  u64 bits() const { return bits_; }
+  u64 bits_flipped() const { return bits_flipped_; }
+  /// Host-commanded retrains that re-ran the training sequence.
+  u64 retrains() const { return retrains_; }
 
  private:
   void begin_training();
@@ -142,11 +147,6 @@ class Hssl {
   sim::EngineRef delivery_;  ///< same engine, the receiving node's affinity
   HsslConfig cfg_;
   Rng errors_;
-  sim::StatSet* stats_;
-  // Per-frame hot counters, resolved once (StatSet::cell) instead of a
-  // string-keyed map lookup per transmitted frame.
-  u64* stat_frames_ = nullptr;
-  u64* stat_bits_ = nullptr;
 
   LinkState state_ = LinkState::kDown;
   Cycle trained_at_ = 0;
@@ -155,6 +155,10 @@ class Hssl {
   Cycle busy_cycles_ = 0;
   u64 times_trained_ = 0;
   u64 rejected_frames_ = 0;
+  u64 frames_ = 0;
+  u64 bits_ = 0;
+  u64 bits_flipped_ = 0;
+  u64 retrains_ = 0;
   /// Bumped on fail()/retrain(): events scheduled under an older epoch
   /// (training completion, serializer free, deliveries) are void.
   u64 epoch_ = 0;

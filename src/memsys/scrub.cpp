@@ -3,8 +3,8 @@
 namespace qcdoc::memsys {
 
 MemScrubber::MemScrubber(sim::EngineRef engine, NodeMemory* mem,
-                         ScrubConfig cfg, sim::StatSet* stats)
-    : engine_(engine), mem_(mem), cfg_(cfg), stats_(stats) {}
+                         ScrubConfig cfg)
+    : engine_(engine), mem_(mem), cfg_(cfg) {}
 
 void MemScrubber::start() {
   if (running_) return;
@@ -14,17 +14,7 @@ void MemScrubber::start() {
 
 void MemScrubber::burst() {
   if (!running_) return;
-  ++bursts_;
-  const u64 before = mem_->ecc().counters().corrected;
-  const u64 rows =
-      mem_->ecc().scrub_step(cfg_.rows_per_period, cfg_.cycles_per_row);
-  if (stats_) {
-    stats_->add("mem.scrub.bursts");
-    stats_->add("mem.scrub.rows", rows);
-    stats_->add("mem.scrub.cycles", rows * cfg_.cycles_per_row);
-    const u64 corrected = mem_->ecc().counters().corrected - before;
-    if (corrected > 0) stats_->add("mem.ecc.scrub_corrected", corrected);
-  }
+  mem_->ecc().scrub_step(cfg_.rows_per_period, cfg_.cycles_per_row);
   engine_.schedule(cfg_.period_cycles, [this] { burst(); });
 }
 

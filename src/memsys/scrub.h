@@ -27,7 +27,6 @@
 #include "memsys/ecc.h"
 #include "memsys/memsys.h"
 #include "sim/engine.h"
-#include "sim/stats.h"
 
 namespace qcdoc::memsys {
 
@@ -39,10 +38,8 @@ struct ScrubConfig {
 
 class MemScrubber {
  public:
-  /// `engine` must carry the owning node's affinity; `stats` (the node's
-  /// StatSet) may be null.
-  MemScrubber(sim::EngineRef engine, NodeMemory* mem, ScrubConfig cfg,
-              sim::StatSet* stats);
+  /// `engine` must carry the owning node's affinity.
+  MemScrubber(sim::EngineRef engine, NodeMemory* mem, ScrubConfig cfg);
 
   /// Begin the periodic walk (idempotent).
   void start();
@@ -50,7 +47,6 @@ class MemScrubber {
   void stop() { running_ = false; }
   [[nodiscard]] bool running() const { return running_; }
 
-  u64 bursts() const { return bursts_; }
   const ScrubConfig& config() const { return cfg_; }
 
  private:
@@ -59,9 +55,7 @@ class MemScrubber {
   sim::EngineRef engine_;
   NodeMemory* mem_;
   ScrubConfig cfg_;
-  sim::StatSet* stats_;
   bool running_ = false;
-  u64 bursts_ = 0;
 };
 
 }  // namespace qcdoc::memsys

@@ -34,12 +34,7 @@ void EthernetTree::host_to_node(NodeId node, std::size_t payload_bytes,
   node_free = node_done;
 
   ++packets_delivered_;
-  stats_.add("eth.host_to_node_packets");
-  stats_.add("eth.host_to_node_bytes", frame);
-  if (kind == EthKind::kJtag) {
-    ++jtag_packets_;
-    stats_.add("eth.jtag_packets");
-  }
+  if (kind == EthKind::kJtag) ++jtag_packets_;
   engine_.schedule_at(node_done, [fn = std::move(on_delivered)] {
     if (fn) fn();
   });
@@ -62,8 +57,6 @@ void EthernetTree::node_to_host(NodeId node, std::size_t payload_bytes,
   host_free = host_done;
 
   ++packets_delivered_;
-  stats_.add("eth.node_to_host_packets");
-  stats_.add("eth.node_to_host_bytes", frame);
   engine_.schedule_at(host_done, [fn = std::move(on_delivered)] {
     if (fn) fn();
   });

@@ -19,7 +19,6 @@
 
 #include "common/types.h"
 #include "sim/engine.h"
-#include "sim/stats.h"
 
 namespace qcdoc::net {
 
@@ -57,7 +56,6 @@ class EthernetTree {
 
   u64 packets_delivered() const { return packets_delivered_; }
   u64 jtag_packets() const { return jtag_packets_; }
-  const sim::StatSet& stats() const { return stats_; }
 
  private:
   Cycle cycles(double seconds) const {
@@ -74,7 +72,6 @@ class EthernetTree {
   std::vector<Cycle> node_link_free_;
   u64 packets_delivered_ = 0;
   u64 jtag_packets_ = 0;
-  sim::StatSet stats_;
 };
 
 }  // namespace qcdoc::net

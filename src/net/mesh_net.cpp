@@ -1,13 +1,46 @@
 #include "net/mesh_net.h"
 
+#include <algorithm>
 #include <cassert>
+#include <iterator>
 #include <sstream>
+#include <stdexcept>
 
 #include "sim/affinity_guard.h"
 
 namespace qcdoc::net {
 
 using torus::LinkIndex;
+
+namespace {
+
+/// total_stat's names, each read from one directed link: its wire, the send
+/// side that drives the wire, and the receive side on the same node and
+/// link index (which the neighbour's facing wire feeds).
+struct NamedCounter {
+  const char* name;
+  u64 (*read)(const hssl::Hssl&, const scu::SendSide&, const scu::RecvSide&);
+};
+using W = const hssl::Hssl&;
+using S = const scu::SendSide&;
+using R = const scu::RecvSide&;
+constexpr NamedCounter kCounters[] = {
+    {"hssl.frames", [](W w, S, R) { return w.frames(); }},
+    {"hssl.bits", [](W w, S, R) { return w.bits(); }},
+    {"hssl.bits_flipped", [](W w, S, R) { return w.bits_flipped(); }},
+    {"hssl.trained", [](W w, S, R) { return w.times_trained(); }},
+    {"hssl.retrains", [](W w, S, R) { return w.retrains(); }},
+    {"scu.data_received", [](W, S, R r) { return r.words_received(); }},
+    {"scu.acks", [](W, S s, R) { return s.acks(); }},
+    {"scu.nack_resends", [](W, S s, R) { return s.nack_resends(); }},
+    {"scu.timeout_resends", [](W, S s, R) { return s.timeout_resends(); }},
+    {"scu.sup_resends", [](W, S s, R) { return s.sup_resends(); }},
+    {"scu.detected_errors", [](W, S, R r) { return r.detected_errors(); }},
+    {"scu.undetected_errors", [](W, S, R r) { return r.undetected_errors(); }},
+    {"scu.pirq_received", [](W, S, R r) { return r.pirq_received(); }},
+};
+
+}  // namespace
 
 const char* to_string(NodeCondition c) {
   switch (c) {
@@ -24,7 +57,6 @@ MeshNet::MeshNet(sim::Engine* engine, MeshConfig cfg)
   Rng machine_rng(cfg_.seed);
 
   memories_.reserve(static_cast<std::size_t>(n));
-  stats_.reserve(static_cast<std::size_t>(n));
   scus_.reserve(static_cast<std::size_t>(n));
   wires_.resize(static_cast<std::size_t>(n) * torus::kLinksPerNode);
   conditions_.assign(static_cast<std::size_t>(n), NodeCondition::kOk);
@@ -32,11 +64,10 @@ MeshNet::MeshNet(sim::Engine* engine, MeshConfig cfg)
   cfg_.scu.active_transfers = &active_transfers_;
   for (int i = 0; i < n; ++i) {
     memories_.push_back(std::make_unique<memsys::NodeMemory>(cfg_.mem));
-    stats_.push_back(std::make_unique<sim::StatSet>());
     scus_.push_back(std::make_unique<scu::Scu>(
         sim::EngineRef(engine_, static_cast<sim::Affinity>(i)),
         memories_.back().get(), cfg_.scu,
-        Rng(cfg_.seed, NodeId{static_cast<u32>(i)}), stats_.back().get()));
+        Rng(cfg_.seed, NodeId{static_cast<u32>(i)})));
     // Tag the node's state regions for the affinity sanitizer: mutating
     // them from an event on another affinity without a declared touched
     // set is a trap (DESIGN.md section 6).
@@ -50,7 +81,7 @@ MeshNet::MeshNet(sim::Engine* engine, MeshConfig cfg)
     for (int l = 0; l < torus::kLinksPerNode; ++l) {
       auto wire = std::make_unique<hssl::Hssl>(
           sim::EngineRef(engine_, static_cast<sim::Affinity>(i)), cfg_.hssl,
-          machine_rng.split(), stats_[static_cast<std::size_t>(i)].get());
+          machine_rng.split());
       QCDOC_AFFSAN_OWN(wire.get(), sizeof(hssl::Hssl),
                        static_cast<sim::Affinity>(i), "hssl::Hssl");
       wire->track_untrained(&untrained_wires_);
@@ -95,8 +126,7 @@ void MeshNet::start_scrubbing(memsys::ScrubConfig cfg) {
     // engine shards them and the walk order is thread-count independent.
     const sim::EngineRef node_engine(engine_, static_cast<sim::Affinity>(i));
     scrubbers_.push_back(std::make_unique<memsys::MemScrubber>(
-        node_engine, memories_[static_cast<std::size_t>(i)].get(), cfg,
-        stats_[static_cast<std::size_t>(i)].get()));
+        node_engine, memories_[static_cast<std::size_t>(i)].get(), cfg));
     scrubbers_.back()->start();
   }
 }
@@ -165,8 +195,22 @@ bool MeshNet::verify_link_checksums(std::vector<std::string>* mismatches) const 
 }
 
 u64 MeshNet::total_stat(const std::string& name) const {
+  const auto* counter =
+      std::find_if(std::begin(kCounters), std::end(kCounters),
+                   [&name](const NamedCounter& c) { return name == c.name; });
+  if (counter == std::end(kCounters)) {
+    throw std::invalid_argument("MeshNet::total_stat: unknown counter '" +
+                                name + "'");
+  }
   u64 sum = 0;
-  for (const auto& s : stats_) sum += s->get(name);
+  for (std::size_t i = 0; i < scus_.size(); ++i) {
+    for (int l = 0; l < torus::kLinksPerNode; ++l) {
+      const LinkIndex link{l};
+      sum += counter->read(
+          *wires_[i * torus::kLinksPerNode + static_cast<std::size_t>(l)],
+          scus_[i]->send_side(link), scus_[i]->recv_side(link));
+    }
+  }
   return sum;
 }
 

@@ -61,7 +61,6 @@ class MeshNet {
 
   scu::Scu& scu(NodeId n) { return *scus_[n.value]; }
   memsys::NodeMemory& memory(NodeId n) { return *memories_[n.value]; }
-  sim::StatSet& stats(NodeId n) { return *stats_[n.value]; }
   hssl::Hssl& wire(NodeId from, torus::LinkIndex l);
 
   /// Power on every HSSL; links train and then exchange idle bytes.
@@ -93,7 +92,11 @@ class MeshNet {
   [[nodiscard]] bool verify_link_checksums(
       std::vector<std::string>* mismatches = nullptr) const;
 
-  /// Sum a named statistic across all nodes.
+  /// Sum one link counter over every directed link.  `name` is one of
+  /// hssl.{frames, bits, bits_flipped, trained, retrains} or
+  /// scu.{data_received, acks, nack_resends, timeout_resends, sup_resends,
+  /// detected_errors, undetected_errors, pirq_received}; any other name
+  /// throws std::invalid_argument.
   u64 total_stat(const std::string& name) const;
 
   /// Start a background ECC scrubber on every node (idempotent; the config
@@ -125,7 +128,6 @@ class MeshNet {
   MeshConfig cfg_;
   torus::Torus topology_;
   std::vector<std::unique_ptr<memsys::NodeMemory>> memories_;
-  std::vector<std::unique_ptr<sim::StatSet>> stats_;
   std::vector<std::unique_ptr<scu::Scu>> scus_;
   // wires_[node * kLinksPerNode + link]: the outgoing serial wire.
   std::vector<std::unique_ptr<hssl::Hssl>> wires_;

@@ -9,17 +9,11 @@ namespace qcdoc::scu {
 // SendSide
 // ---------------------------------------------------------------------------
 
-SendSide::SendSide(sim::EngineRef engine, hssl::Hssl* wire, LinkParams params,
-                   sim::StatSet* stats)
+SendSide::SendSide(sim::EngineRef engine, hssl::Hssl* wire, LinkParams params)
     : engine_(engine),
       wire_(wire),
       params_(params),
-      stats_(stats),
       unacked_(static_cast<std::size_t>(std::max(params.ack_window, 1))) {
-  if (stats_) {
-    stat_data_sent_ = stats_->cell("scu.data_sent");
-    stat_acks_ = stats_->cell("scu.acks");
-  }
   wire_->set_ready_callback([this] {
     frame_in_flight_ = false;
     pump();
@@ -87,20 +81,18 @@ void SendSide::pump() {
     const u8 mask = pirq_queue_.front();
     pirq_queue_.pop_front();
     transmit(Packet{PacketType::kPartitionIrq, mask, 0});
-    if (stats_) stats_->add("scu.pirq_sent");
     return;
   }
   if (sup_outstanding_ && sup_needs_send_) {
     sup_needs_send_ = false;
     sup_sent_at_ = engine_.now();
     transmit(Packet{PacketType::kSupervisor, sup_word_, sup_seq_});
-    if (stats_) stats_->add("scu.sup_sent");
     // Backstop resend for a lost/corrupted supervisor frame or SupAck.
     engine_.schedule(params_.resend_timeout_cycles,
                       [this, sent_at = sup_sent_at_] {
                         if (sup_outstanding_ && sup_sent_at_ == sent_at) {
                           sup_needs_send_ = true;
-                          if (stats_) stats_->add("scu.sup_resends");
+                          ++sup_resends_;
                           kick();
                         }
                       });
@@ -120,7 +112,6 @@ void SendSide::pump() {
     // (Re)transmission of an already-windowed word.
     const Pending& p = unacked_[send_cursor_++];
     transmit(Packet{PacketType::kData, p.word, p.seq});
-    if (stat_data_sent_) ++*stat_data_sent_;
     return;
   }
   if (!data_queue_.empty() &&
@@ -134,7 +125,6 @@ void SendSide::pump() {
     send_cursor_ = unacked_.size();
     arm_timeout();
     transmit(Packet{PacketType::kData, word, seq});
-    if (stat_data_sent_) ++*stat_data_sent_;
     return;
   }
 }
@@ -173,8 +163,7 @@ void SendSide::on_timeout() {
       return;
     }
     send_cursor_ = 0;
-    resends_ += unacked_.size();
-    if (stats_) stats_->add("scu.timeout_resends", unacked_.size());
+    timeout_resends_ += unacked_.size();
     oldest_unacked_since_ = engine_.now();
     kick();
   }
@@ -184,7 +173,6 @@ void SendSide::on_timeout() {
 void SendSide::declare_fault() {
   if (faulted_) return;
   faulted_ = true;
-  if (stats_) stats_->add("scu.link_faults");
   if (on_link_fault_) on_link_fault_();
 }
 
@@ -216,7 +204,7 @@ std::size_t SendSide::pop_acked_below(u8 expected) {
   if (d > 0) {
     oldest_unacked_since_ = engine_.now();
     consecutive_timeouts_ = 0;  // forward progress: the link is alive
-    if (stat_acks_) *stat_acks_ += d;
+    acks_ += d;
     if (data_drained() && on_data_drained_) on_data_drained_();
   }
   return d;
@@ -225,7 +213,6 @@ std::size_t SendSide::pop_acked_below(u8 expected) {
 void SendSide::on_ack(u8 expected) {
   if (ack_drops_remaining_ > 0) {
     --ack_drops_remaining_;
-    if (stats_) stats_->add("scu.acks_dropped");
     return;
   }
   pop_acked_below(expected);
@@ -235,14 +222,12 @@ void SendSide::on_ack(u8 expected) {
 void SendSide::on_nack(u8 expected) {
   if (ack_drops_remaining_ > 0) {
     --ack_drops_remaining_;
-    if (stats_) stats_->add("scu.acks_dropped");
     return;
   }
   pop_acked_below(expected);
   if (!unacked_.empty() && unacked_.front().seq == (expected & 0x3)) {
     send_cursor_ = 0;  // go back: resend the whole window in order
-    resends_ += unacked_.size();
-    if (stats_) stats_->add("scu.nack_resends", unacked_.size());
+    nack_resends_ += unacked_.size();
   }
   kick();
 }
@@ -257,15 +242,12 @@ void SendSide::on_sup_ack(u8 seq) {
 // RecvSide
 // ---------------------------------------------------------------------------
 
-RecvSide::RecvSide(sim::EngineRef engine, LinkParams params, sim::StatSet* stats,
+RecvSide::RecvSide(sim::EngineRef engine, LinkParams params,
                    Rng corruption_stream)
     : engine_(engine),
       params_(params),
-      stats_(stats),
       corrupt_rng_(corruption_stream),
-      held_(static_cast<std::size_t>(std::max(params.idle_hold_words, 1))) {
-  if (stats_) stat_data_received_ = stats_->cell("scu.data_received");
-}
+      held_(static_cast<std::size_t>(std::max(params.idle_hold_words, 1))) {}
 
 void RecvSide::on_frame(const Packet& sent, int flipped) {
   // A clean frame decodes to exactly the packet sent (the codec round-trips
@@ -277,7 +259,6 @@ void RecvSide::on_frame(const Packet& sent, int flipped) {
     const auto pkt = decode(frame);
     if (!pkt) {
       ++detected_errors_;
-      if (stats_) stats_->add("scu.detected_errors");
       // A corrupted long frame was (most likely) a data word: request the
       // automatic hardware resend.  Short frames are control/interrupt
       // traffic, recovered by timeouts / window re-floods instead.
@@ -291,7 +272,6 @@ void RecvSide::on_frame(const Packet& sent, int flipped) {
       // Corruption slipped past the parity/type checks.  Only the
       // end-to-end link checksums can expose this, as on the hardware.
       ++undetected_errors_;
-      if (stats_) stats_->add("scu.undetected_errors");
     }
     arrived = *pkt;
   }
@@ -302,7 +282,6 @@ void RecvSide::on_frame(const Packet& sent, int flipped) {
         // cumulative acknowledgement so a lost ACK cannot stall the link --
         // unless we are in idle receive, where withholding acknowledgement
         // is exactly how the hardware blocks the sender.
-        if (stats_) stats_->add("scu.stale_data");
         if (data_sink_ && reverse_) {
           reverse_->enqueue_control(PacketType::kAck, expected_seq_);
         }
@@ -313,14 +292,13 @@ void RecvSide::on_frame(const Packet& sent, int flipped) {
     case PacketType::kSupervisor:
       if (arrived.seq == sup_expected_seq_) {
         sup_expected_seq_ = static_cast<u8>((sup_expected_seq_ + 1) & 0x3);
-        if (stats_) stats_->add("scu.sup_received");
         if (supervisor_handler_) supervisor_handler_(arrived.payload);
       }
       // Always (re-)acknowledge: a duplicate means our SupAck was lost.
       if (reverse_) reverse_->enqueue_control(PacketType::kSupAck, arrived.seq);
       return;
     case PacketType::kPartitionIrq:
-      if (stats_) stats_->add("scu.pirq_received");
+      ++pirq_received_;
       if (pirq_handler_) pirq_handler_(static_cast<u8>(arrived.payload & 0xff));
       return;
     case PacketType::kAck:
@@ -338,7 +316,6 @@ void RecvSide::on_frame(const Packet& sent, int flipped) {
 }
 
 void RecvSide::accept_data(u64 word, u8 seq) {
-  (void)seq;
   if (forced_corrupt_remaining_ > 0) {
     // Injected undetected corruption: flip the sign bit and a mantissa bit
     // of the landed word (keeping a double payload finite), exactly as a
@@ -347,16 +324,11 @@ void RecvSide::accept_data(u64 word, u8 seq) {
     --forced_corrupt_remaining_;
     word ^= (1ull << 63) | (1ull << 40);
     ++undetected_errors_;
-    if (stats_) {
-      stats_->add("scu.undetected_errors");
-      stats_->add("scu.forced_corruptions");
-    }
   }
   if (data_sink_) {
     expected_seq_ = static_cast<u8>((expected_seq_ + 1) & 0x3);
     checksum_ += word;
     ++words_received_;
-    if (stat_data_received_) ++*stat_data_received_;
     // Cumulative acknowledgement: "everything before expected_seq_".
     if (reverse_) reverse_->enqueue_control(PacketType::kAck, expected_seq_);
     data_sink_(word);
@@ -368,7 +340,6 @@ void RecvSide::accept_data(u64 word, u8 seq) {
   if (static_cast<int>(held_.size()) < params_.idle_hold_words) {
     expected_seq_ = static_cast<u8>((expected_seq_ + 1) & 0x3);
     held_.push_back(Held{word, seq});
-    if (stats_) stats_->add("scu.idle_held");
   }
   // else: drop; the sender's timeout will retry until we have space.
 }
@@ -380,7 +351,6 @@ void RecvSide::set_data_sink(sim::SmallFn<void(u64)> sink) {
     held_.pop_front();
     checksum_ += h.word;
     ++words_received_;
-    if (stat_data_received_) ++*stat_data_received_;
     // expected_seq_ already advanced when the word was held; acknowledge
     // cumulatively up to one past this word's sequence.
     if (reverse_) {

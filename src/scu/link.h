@@ -27,7 +27,6 @@
 #include "scu/packet.h"
 #include "sim/engine.h"
 #include "sim/event_fn.h"
-#include "sim/stats.h"
 
 namespace qcdoc::scu {
 
@@ -47,8 +46,7 @@ class RecvSide;
 /// Transmit half of a directed link, owned by the sending node's SCU.
 class SendSide {
  public:
-  SendSide(sim::EngineRef engine, hssl::Hssl* wire, LinkParams params,
-           sim::StatSet* stats);
+  SendSide(sim::EngineRef engine, hssl::Hssl* wire, LinkParams params);
 
   /// The RecvSide on the *remote* node that this wire feeds: becomes the
   /// wire's one receiver.
@@ -105,16 +103,25 @@ class SendSide {
 
   u64 checksum() const { return checksum_; }
   u64 words_accepted() const { return words_accepted_; }
-  u64 resends() const { return resends_; }
+  /// Data words acknowledged by the remote receiver.
+  u64 acks() const { return acks_; }
+  /// Data words resent by NACK go-backs and by timeout go-backs.
+  u64 nack_resends() const { return nack_resends_; }
+  u64 timeout_resends() const { return timeout_resends_; }
+  u64 resends() const { return nack_resends_ + timeout_resends_; }
+  /// Supervisor packets resent after their SupAck timed out.
+  u64 sup_resends() const { return sup_resends_; }
 
   /// Snapshot hook: restore the running payload checksum and lifetime
   /// counters so the end-of-run send/recv checksum comparison (the paper's
   /// final integrity check) spans process restarts.  Only valid on a
-  /// drained link; in-flight protocol state is never serialized.
+  /// drained link; in-flight protocol state is never serialized.  The
+  /// snapshot carries only the resend total, booked as timeout resends.
   void restore_integrity(u64 checksum, u64 words_accepted, u64 resends) {
     checksum_ = checksum;
     words_accepted_ = words_accepted;
-    resends_ = resends;
+    nack_resends_ = 0;
+    timeout_resends_ = resends;
   }
 
  private:
@@ -135,11 +142,6 @@ class SendSide {
   sim::EngineRef engine_;
   hssl::Hssl* wire_;
   LinkParams params_;
-  sim::StatSet* stats_;
-  // Per-word hot counters, resolved once (StatSet::cell) instead of paying a
-  // string-keyed map lookup on every transmitted/acknowledged word.
-  u64* stat_data_sent_ = nullptr;
-  u64* stat_acks_ = nullptr;
 
   // Normal data stream (go-back-N with a 2-bit sequence, window 3).
   struct Pending {
@@ -153,7 +155,10 @@ class SendSide {
   u8 next_seq_ = 0;
   u64 checksum_ = 0;
   u64 words_accepted_ = 0;
-  u64 resends_ = 0;
+  u64 acks_ = 0;
+  u64 nack_resends_ = 0;
+  u64 timeout_resends_ = 0;
+  u64 sup_resends_ = 0;
   Cycle oldest_unacked_since_ = 0;
   bool timeout_armed_ = false;
   int consecutive_timeouts_ = 0;
@@ -181,8 +186,7 @@ class SendSide {
 /// Receive half of a directed link, owned by the receiving node's SCU.
 class RecvSide {
  public:
-  RecvSide(sim::EngineRef engine, LinkParams params, sim::StatSet* stats,
-           Rng corruption_stream);
+  RecvSide(sim::EngineRef engine, LinkParams params, Rng corruption_stream);
 
   /// `reverse` is the SendSide on *this* node facing the sender; it carries
   /// our acknowledgements and receives control notifications for its own
@@ -224,6 +228,7 @@ class RecvSide {
   int held_words() const { return static_cast<int>(held_.size()); }
   u64 detected_errors() const { return detected_errors_; }
   u64 undetected_errors() const { return undetected_errors_; }
+  u64 pirq_received() const { return pirq_received_; }
 
   /// Snapshot hooks (see SendSide::restore_integrity).
   void restore_integrity(u64 checksum, u64 words_received, u64 detected,
@@ -242,8 +247,6 @@ class RecvSide {
 
   sim::EngineRef engine_;
   LinkParams params_;
-  sim::StatSet* stats_;
-  u64* stat_data_received_ = nullptr;  ///< hot cell, see SendSide
   Rng corrupt_rng_;
 
   SendSide* reverse_ = nullptr;
@@ -254,6 +257,7 @@ class RecvSide {
   u64 words_received_ = 0;
   u64 detected_errors_ = 0;
   u64 undetected_errors_ = 0;
+  u64 pirq_received_ = 0;
   int forced_corrupt_remaining_ = 0;
 
   struct Held {

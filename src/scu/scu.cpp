@@ -9,13 +9,13 @@ namespace qcdoc::scu {
 using torus::LinkIndex;
 
 Scu::Scu(sim::EngineRef engine, memsys::NodeMemory* memory, ScuConfig cfg,
-         Rng rng, sim::StatSet* stats)
-    : engine_(engine), memory_(memory), cfg_(cfg), rng_(rng), stats_(stats) {
+         Rng rng)
+    : engine_(engine), memory_(memory), cfg_(cfg), rng_(rng) {
   // Receive sides exist from power-on (they own the idle-receive registers);
   // send sides are created when the outgoing wires are attached.
   for (int l = 0; l < torus::kLinksPerNode; ++l) {
     recv_[static_cast<std::size_t>(l)] =
-        std::make_unique<RecvSide>(engine_, cfg_.link, stats_, rng_.split());
+        std::make_unique<RecvSide>(engine_, cfg_.link, rng_.split());
     recv_dma_[static_cast<std::size_t>(l)] = std::make_unique<RecvDma>(
         engine_, memory_, recv_[static_cast<std::size_t>(l)].get(), cfg_.dma,
         cfg_.active_transfers);
@@ -30,11 +30,8 @@ Scu::Scu(sim::EngineRef engine, memsys::NodeMemory* memory, ScuConfig cfg,
 void Scu::attach_outgoing_wire(LinkIndex l, hssl::Hssl* wire) {
   auto& slot = send_[static_cast<std::size_t>(l.value)];
   assert(!slot && "wire already attached");
-  slot = std::make_unique<SendSide>(engine_, wire, cfg_.link, stats_);
-  slot->set_on_link_fault([this, l] {
-    faulted_links_ |= 1u << l.value;
-    if (stats_) stats_->add("scu.node_link_faults");
-  });
+  slot = std::make_unique<SendSide>(engine_, wire, cfg_.link);
+  slot->set_on_link_fault([this, l] { faulted_links_ |= 1u << l.value; });
   send_dma_[static_cast<std::size_t>(l.value)] =
       std::make_unique<SendDma>(engine_, memory_, slot.get(), cfg_.dma,
                                 cfg_.active_transfers);

@@ -35,7 +35,7 @@ struct ScuConfig {
 class Scu {
  public:
   Scu(sim::EngineRef engine, memsys::NodeMemory* memory, ScuConfig cfg,
-      Rng rng, sim::StatSet* stats);
+      Rng rng);
 
   /// Attach the outgoing serial wire for link `l`; creates the send side and
   /// its DMA engine.  Called once per link by the network builder.
@@ -77,7 +77,6 @@ class Scu {
   [[nodiscard]] bool quiescent() const;
 
   memsys::NodeMemory& memory() { return *memory_; }
-  sim::StatSet& stats() { return *stats_; }
   sim::Engine& engine() { return *engine_.get(); }
   const ScuConfig& config() const { return cfg_; }
 
@@ -86,7 +85,6 @@ class Scu {
   memsys::NodeMemory* memory_;
   ScuConfig cfg_;
   Rng rng_;
-  sim::StatSet* stats_;
 
   std::array<std::unique_ptr<SendSide>, torus::kLinksPerNode> send_;
   std::array<std::unique_ptr<RecvSide>, torus::kLinksPerNode> recv_;

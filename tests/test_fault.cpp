@@ -64,8 +64,7 @@ TEST(FaultInjector, BerSpikeAppliesAndRestoresAfterDuration) {
   auto& wire = m.mesh().wire(NodeId{0}, LinkIndex{0});
   const Cycle at = m.engine().now() + 100;
 
-  sim::StatSet fstats;
-  fault::FaultInjector injector(&m.mesh(), &fstats);
+  fault::FaultInjector injector(&m.mesh());
   fault::FaultPlan plan;
   plan.ber_spike(at, NodeId{0}, LinkIndex{0}, 0.25, /*duration=*/200);
   injector.arm(plan);
@@ -75,13 +74,13 @@ TEST(FaultInjector, BerSpikeAppliesAndRestoresAfterDuration) {
   m.engine().run_until(at + 300);
   EXPECT_DOUBLE_EQ(wire.bit_error_rate(), 0.0);
   EXPECT_EQ(injector.injected(), 1u);
-  EXPECT_EQ(fstats.get("fault.ber_spike"), 1u);
+  EXPECT_EQ(injector.injected(fault::FaultKind::kBerSpike), 1u);
 }
 
 TEST(FaultInjector, NodeCrashKillsEveryOutgoingWire) {
   machine::Machine m(small_config({2, 2, 1, 1, 1, 1}));
   m.power_on();
-  fault::FaultInjector injector(&m.mesh(), nullptr);
+  fault::FaultInjector injector(&m.mesh());
   fault::FaultPlan plan;
   plan.node_crash(m.engine().now(), NodeId{3});
   injector.arm(plan);
@@ -159,7 +158,7 @@ TEST(Health, CrashedNodeIsQuarantinedAndJobsFailCleanly) {
   auto handle = qd.allocate_partition("all", whole, 2);
   ASSERT_TRUE(handle.has_value());
 
-  fault::FaultInjector injector(&m.mesh(), nullptr);
+  fault::FaultInjector injector(&m.mesh());
   fault::FaultPlan plan;
   plan.node_crash(m.engine().now(), NodeId{3});
   injector.arm(plan);
@@ -349,7 +348,7 @@ TEST(Health, HungNodeIsDetectedBySweep) {
   machine::Machine m(small_config({2, 2, 1, 1, 1, 1}));
   host::Qdaemon qd(&m);
   qd.boot();
-  fault::FaultInjector injector(&m.mesh(), nullptr);
+  fault::FaultInjector injector(&m.mesh());
   fault::FaultPlan plan;
   plan.node_hang(m.engine().now(), NodeId{1});
   injector.arm(plan);
@@ -468,8 +467,7 @@ CampaignOutcome run_campaign(int sim_threads = 1) {
   const NodeId spike_peer = m.topology().neighbor(marginal, spike_link);
 
   // Scheduled faults: one permanent link death, one bit-error-rate spike.
-  sim::StatSet fstats;
-  fault::FaultInjector injector(&m.mesh(), &fstats);
+  fault::FaultInjector injector(&m.mesh());
   fault::FaultPlan plan;
   plan.link_death(m.engine().now(), dead, LinkIndex{0});
   plan.ber_spike(m.engine().now(), marginal, spike_link, 2e-3,
@@ -651,7 +649,7 @@ MemSoakOutcome run_mem_soak(bool faulted, int sim_threads = 1) {
     m.start_memory_scrubbers(scrub);
   }
 
-  fault::FaultInjector injector(&m.mesh(), nullptr);
+  fault::FaultInjector injector(&m.mesh());
   fault::MemCheckAuditor mem_auditor(&m.mesh(), handle->partition->nodes());
 
   const auto job = qd.run_job(

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <stdexcept>
+#include <utility>
 
 #include "net/cluster_net.h"
 #include "net/ethernet.h"
@@ -110,6 +112,80 @@ TEST(MeshNet, ChecksumVerificationDetectsTampering) {
   }
   // Either way the protocol recovered *detected* errors.
   EXPECT_GT(mesh.total_stat("scu.detected_errors"), 0u);
+}
+
+TEST(MeshNet, TotalStatSumsEveryLinksCounterAndRejectsUnknownNames) {
+  const MeshConfig cfg = small_mesh({2, 1, 1, 1, 1, 1});
+  sim::Engine engine({.num_nodes = cfg.shape.volume()});
+  MeshNet mesh(&engine, cfg);
+  mesh.power_on();
+  engine.run_until_idle();
+  const NodeId a{0};
+  const auto link = torus::link_index(0, torus::Dir::kPlus);
+  mesh.wire(a, link).set_bit_error_rate(0.02);
+  const NodeId b = mesh.topology().neighbor(a, link);
+  auto src = mesh.memory(a).alloc(512, "src");
+  auto dst = mesh.memory(b).alloc(512, "dst");
+  Rng rng(9);
+  for (u64 i = 0; i < 512; ++i) {
+    mesh.memory(a).write_word(src.word_addr + i, rng.next_u64());
+  }
+  mesh.scu(b).recv_dma(torus::facing_link(link))
+      .start(scu::DmaDescriptor{dst.word_addr, 512, 1, 0});
+  mesh.scu(a).send_dma(link).start(
+      scu::DmaDescriptor{src.word_addr, 512, 1, 0});
+  EXPECT_TRUE(mesh.drain());
+
+  // Each name reads one typed accessor, summed over every directed link.
+  using Read = std::function<u64(NodeId, torus::LinkIndex)>;
+  const auto wire = [&](u64 (hssl::Hssl::*get)() const) -> Read {
+    return [&mesh, get](NodeId n, torus::LinkIndex l) {
+      return (mesh.wire(n, l).*get)();
+    };
+  };
+  const auto send = [&](u64 (scu::SendSide::*get)() const) -> Read {
+    return [&mesh, get](NodeId n, torus::LinkIndex l) {
+      return (mesh.scu(n).send_side(l).*get)();
+    };
+  };
+  const auto recv = [&](u64 (scu::RecvSide::*get)() const) -> Read {
+    return [&mesh, get](NodeId n, torus::LinkIndex l) {
+      return (mesh.scu(n).recv_side(l).*get)();
+    };
+  };
+  const std::pair<const char*, Read> counters[] = {
+      {"hssl.frames", wire(&hssl::Hssl::frames)},
+      {"hssl.bits", wire(&hssl::Hssl::bits)},
+      {"hssl.bits_flipped", wire(&hssl::Hssl::bits_flipped)},
+      {"hssl.trained", wire(&hssl::Hssl::times_trained)},
+      {"hssl.retrains", wire(&hssl::Hssl::retrains)},
+      {"scu.data_received", recv(&scu::RecvSide::words_received)},
+      {"scu.acks", send(&scu::SendSide::acks)},
+      {"scu.nack_resends", send(&scu::SendSide::nack_resends)},
+      {"scu.timeout_resends", send(&scu::SendSide::timeout_resends)},
+      {"scu.sup_resends", send(&scu::SendSide::sup_resends)},
+      {"scu.detected_errors", recv(&scu::RecvSide::detected_errors)},
+      {"scu.undetected_errors", recv(&scu::RecvSide::undetected_errors)},
+      {"scu.pirq_received", recv(&scu::RecvSide::pirq_received)},
+  };
+  for (const auto& [name, read] : counters) {
+    u64 sum = 0;
+    for (int i = 0; i < mesh.num_nodes(); ++i) {
+      for (int l = 0; l < torus::kLinksPerNode; ++l) {
+        sum += read(NodeId{static_cast<u32>(i)}, torus::LinkIndex{l});
+      }
+    }
+    EXPECT_EQ(mesh.total_stat(name), sum) << name;
+  }
+  for (const char* name : {"hssl.frames", "hssl.bits", "hssl.bits_flipped",
+                           "scu.detected_errors"}) {
+    EXPECT_GT(mesh.total_stat(name), 0u) << name;
+  }
+  EXPECT_GT(mesh.total_stat("scu.nack_resends") +
+                mesh.total_stat("scu.timeout_resends"),
+            0u);
+  EXPECT_THROW((void)mesh.total_stat("scu.no_such_counter"),
+               std::invalid_argument);
 }
 
 TEST(MeshNet, PartitionInterruptFloodsWholeMachine) {

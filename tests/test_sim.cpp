@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "sim/engine.h"
-#include "sim/stats.h"
 
 namespace qcdoc::sim {
 namespace {
@@ -120,16 +119,6 @@ TEST(Engine, OrderDigestDetectsDifferentSchedules) {
   c.run_until_idle();
   EXPECT_EQ(a.trace_digest(), b.trace_digest());
   EXPECT_NE(a.trace_digest(), c.trace_digest());
-}
-
-TEST(Stats, Accumulates) {
-  StatSet s;
-  s.add("a");
-  s.add("a", 4);
-  s.add("b", 2);
-  EXPECT_EQ(s.get("a"), 5u);
-  EXPECT_EQ(s.get("b"), 2u);
-  EXPECT_EQ(s.get("missing"), 0u);
 }
 
 }  // namespace

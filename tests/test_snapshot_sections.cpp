@@ -286,6 +286,20 @@ TEST(SnapshotHostile, UntouchedCaptureRestores) {
   Rig replay;
   const Status s = restore_machine(replay.m, replay.extras(), file);
   EXPECT_TRUE(s.ok) << s.reason;
+  // Restored link counters are lifetime counts.  The SCU section carries
+  // only each send side's resend total, booked as timeout resends.
+  u64 resends = 0;
+  for (int i = 0; i < rig.m.num_nodes(); ++i) {
+    for (int l = 0; l < torus::kLinksPerNode; ++l) {
+      resends += rig.m.scu(NodeId{static_cast<u32>(i)})
+                     .send_side(LinkIndex{l})
+                     .resends();
+    }
+  }
+  EXPECT_GT(resends, 0u);
+  EXPECT_EQ(replay.m.mesh().total_stat("scu.nack_resends") +
+                replay.m.mesh().total_stat("scu.timeout_resends"),
+            resends);
   lattice::CgCheckpoint ck;
   EXPECT_TRUE(lattice::decode_checkpoint(file, &ck).ok);
   EXPECT_EQ(ck.iterations, 12);
