@@ -6,6 +6,7 @@
 // bandwidth of 2.6 GBytes/second" (Section 2.1).
 #include "bench_util.h"
 #include "machine/machine.h"
+#include "scu/packet.h"
 
 using namespace qcdoc;
 
@@ -40,19 +41,19 @@ int main() {
   const double link_Bps = static_cast<double>(words * 8) / seconds;
   const double aggregate_GBps = link_Bps * 24 / 1e9;
 
-  const auto& hw = m.hw();
-  const auto& mt = m.mem_timing();
-  const double edram_GBps =
-      mt.edram_bytes_per_cycle * hw.cpu_clock_hz / 1e9;
-  const double ddr_GBps = mt.ddr_bytes_per_cycle * hw.cpu_clock_hz / 1e9;
+  const double clock_hz = m.config().clock_hz;
+  const double edram_GBps = memsys::kEdramBytesPerCycle * clock_hz / 1e9;
+  const double ddr_GBps =
+      m.mem_timing().ddr_bytes_per_cycle * clock_hz / 1e9;
+  const double packet_efficiency =
+      static_cast<double>(scu::kWordBits) / scu::kWordFrameBits;
 
   std::vector<perf::Row> rows = {
       {"E5", "per-link payload", 64.0 / 72 * 500 / 8, link_Bps / 1e6, "MB/s"},
       {"E5", "aggregate SCU (24 links)", 1.3, aggregate_GBps, "GB/s"},
       {"E5", "CPU <-> EDRAM", 8.0, edram_GBps, "GB/s"},
       {"E5", "DDR SDRAM", 2.6, ddr_GBps, "GB/s"},
-      {"E5", "packet efficiency", 8.0 / 9.0, hw.link_packet_efficiency(),
-       "fraction"},
+      {"E5", "packet efficiency", 8.0 / 9.0, packet_efficiency, "fraction"},
   };
   bench::print_rows(rows);
   return 0;

@@ -61,9 +61,8 @@ ScalePoint run(std::array<int, 6> shape) {
       (r.comm_cycles + r.global_cycles) / static_cast<double>(r.cycles);
 
   // Cluster model: identical compute cycles, commodity communication.
-  net::ClusterNetConfig ccfg;
-  ccfg.cpu_clock_hz = rig.m->hw().cpu_clock_hz;
-  net::ClusterNet cluster(ccfg);
+  const double clock_hz = rig.m->config().clock_hz;
+  const net::ClusterNet cluster(clock_hz);
   // Per iteration: 2 halo exchanges (8 messages each) + 2 allreduces.
   int distributed_dims = 0;
   double face_bytes = 0;
@@ -83,7 +82,7 @@ ScalePoint run(std::array<int, 6> shape) {
       r.compute_cycles / params.fixed_iterations;
   pt.cluster_ms_per_iter =
       (compute_cycles_per_iter + static_cast<double>(comm_per_iter)) /
-      ccfg.cpu_clock_hz * 1e3;
+      clock_hz * 1e3;
   return pt;
 }
 

@@ -157,14 +157,6 @@ CampaignResult run_campaign(bool inject_quarantine) {
   return res;
 }
 
-u64 percentile(std::vector<Cycle> samples, double q) {
-  if (samples.empty()) return 0;
-  std::sort(samples.begin(), samples.end());
-  const auto rank = static_cast<std::size_t>(
-      q * static_cast<double>(samples.size() - 1) + 0.5);
-  return samples[std::min(rank, samples.size() - 1)];
-}
-
 void write_json(const char* path, const CampaignResult& r, double jobs_per_sec,
                 bool gates_ok) {
   std::FILE* f = std::fopen(path, "w");
@@ -192,15 +184,15 @@ void write_json(const char* path, const CampaignResult& r, double jobs_per_sec,
   std::fprintf(f, "    \"cold_n\": %zu, \"cold_p50\": %llu, \"cold_p99\": %llu,\n",
                r.report.cold_boot_cycles.size(),
                static_cast<unsigned long long>(
-                   percentile(r.report.cold_boot_cycles, 0.5)),
+                   perf::percentile(r.report.cold_boot_cycles, 0.5)),
                static_cast<unsigned long long>(
-                   percentile(r.report.cold_boot_cycles, 0.99)));
+                   perf::percentile(r.report.cold_boot_cycles, 0.99)));
   std::fprintf(f, "    \"warm_n\": %zu, \"warm_p50\": %llu, \"warm_p99\": %llu\n",
                r.report.warm_boot_cycles.size(),
                static_cast<unsigned long long>(
-                   percentile(r.report.warm_boot_cycles, 0.5)),
+                   perf::percentile(r.report.warm_boot_cycles, 0.5)),
                static_cast<unsigned long long>(
-                   percentile(r.report.warm_boot_cycles, 0.99)));
+                   perf::percentile(r.report.warm_boot_cycles, 0.99)));
   std::fprintf(f, "  },\n");
   std::fprintf(f, "  \"gates_ok\": %s\n", gates_ok ? "true" : "false");
   std::fprintf(f, "}\n");
@@ -241,8 +233,8 @@ int main(int argc, char** argv) {
     if (it == got.digests.end() || it->second != bits) ++mismatched;
   }
 
-  const u64 cold_p99 = percentile(got.report.cold_boot_cycles, 0.99);
-  const u64 warm_p99 = percentile(got.report.warm_boot_cycles, 0.99);
+  const u64 cold_p99 = perf::percentile(got.report.cold_boot_cycles, 0.99);
+  const u64 warm_p99 = perf::percentile(got.report.warm_boot_cycles, 0.99);
 
   std::printf("\n");
   bool ok = true;

@@ -44,10 +44,8 @@ int main() {
   const double rest_us =
       m.microseconds(recv.last_word_landed_at() - recv.first_word_landed_at());
 
-  net::ClusterNet cluster((net::ClusterNetConfig()));
-  const double eth_start_us =
-      static_cast<double>(cluster.message_cycles(8)) /
-      cluster.config().cpu_clock_hz * 1e6;
+  const net::ClusterNet cluster(m.config().clock_hz);
+  const double eth_start_us = m.microseconds(cluster.message_cycles(8));
 
   std::vector<perf::Row> rows = {
       {"E3", "first word mem-to-mem", 0.600, first_us, "us"},

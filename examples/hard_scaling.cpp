@@ -53,9 +53,8 @@ int main() {
     if (base_qcdoc == 0) base_qcdoc = ms;
 
     // The same nodes on a commodity network.
-    net::ClusterNetConfig ccfg;
-    ccfg.cpu_clock_hz = rig.m->hw().cpu_clock_hz;
-    net::ClusterNet cluster(ccfg);
+    const double clock_hz = rig.m->config().clock_hz;
+    const net::ClusterNet cluster(clock_hz);
     int dims = 0;
     double face_bytes = 0;
     for (int mu = 0; mu < kNd; ++mu) {
@@ -72,7 +71,7 @@ int main() {
     const double cluster_ms =
         (r.compute_cycles / params.fixed_iterations +
          static_cast<double>(comm)) /
-        ccfg.cpu_clock_hz * 1e3;
+        clock_hz * 1e3;
 
     const auto& le = rig.geom->local().extent();
     char local[32];

@@ -24,7 +24,7 @@ int main() {
   machine::Machine m(cfg);
   std::printf("machine: %d nodes, %s, %.0f MHz\n", m.num_nodes(),
               m.topology().shape().to_string().c_str(),
-              m.hw().cpu_clock_hz / 1e6);
+              m.config().clock_hz / 1e6);
   // Simulation engine (QCDOC_SIM_THREADS selects serial vs parallel; the
   // simulated results are bit-identical either way).
   std::printf("%s\n", perf::format_engine_report(m.engine().report()).c_str());

@@ -39,20 +39,12 @@ void Communicator::post_shift(int ldim, Dir dir,
   }
 }
 
-scu::GlobalOpTiming Communicator::global_timing() const {
-  scu::GlobalOpTiming t;
-  t.frame_bits = machine_->hw().scu_data_bits + machine_->hw().scu_packet_header_bits;
-  t.passthrough_bits = machine_->hw().scu_global_passthrough_bits;
-  return t;
-}
-
 Communicator::GlobalSumResult Communicator::global_sum(
     std::span<const double> per_rank, bool doubled, bool cut_through) const {
-  scu::GlobalOpTiming t = global_timing();
-  t.cut_through = cut_through;
   GlobalSumResult result;
   result.value = partition_global_sum(*partition_, per_rank);
-  result.cycles = partition_global_sum_cycles(*partition_, t, doubled);
+  result.cycles = partition_global_sum_cycles(
+      *partition_, scu::GlobalOpTiming{.cut_through = cut_through}, doubled);
   return result;
 }
 

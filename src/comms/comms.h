@@ -23,7 +23,6 @@
 
 #include "machine/machine.h"
 #include "scu/dma.h"
-#include "scu/global_ops.h"
 #include "torus/partition.h"
 
 namespace qcdoc::comms {
@@ -46,9 +45,6 @@ class Communicator {
   void post_shift(int ldim, torus::Dir dir,
                   std::span<const scu::DmaDescriptor> send_descs,
                   std::span<const scu::DmaDescriptor> recv_descs);
-
-  /// Timing parameters for the global-operation mode.
-  scu::GlobalOpTiming global_timing() const;
 
   struct GlobalSumResult {
     double value = 0;  ///< identical on every node, bit-reproducible

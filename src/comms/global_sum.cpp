@@ -3,6 +3,8 @@
 #include <cassert>
 #include <vector>
 
+#include "scu/packet.h"
+
 namespace qcdoc::comms {
 
 double partition_global_sum(const torus::Partition& p,
@@ -59,7 +61,7 @@ Cycle partition_global_sum_cycles(const torus::Partition& p,
       // Additional words pipeline behind the first: each adds one frame of
       // serialization per word already in flight on the busiest link.
       total += static_cast<Cycle>(words - 1) * ring.words_per_link *
-               static_cast<Cycle>(t.frame_bits);
+               static_cast<Cycle>(scu::kWordFrameBits);
     }
   }
   return total;

@@ -9,9 +9,8 @@ namespace qcdoc::host {
 Qdaemon::Qdaemon(machine::Machine* m, net::EthernetConfig eth_cfg,
                  BootParams boot_params)
     : machine_(m), boot_params_(boot_params) {
-  eth_cfg.cpu_clock_hz = m->hw().cpu_clock_hz;
-  eth_ = std::make_unique<net::EthernetTree>(&m->engine(), eth_cfg,
-                                             m->num_nodes());
+  eth_ = std::make_unique<net::EthernetTree>(
+      &m->engine(), m->config().clock_hz, eth_cfg, m->num_nodes());
   sequencer_ = std::make_unique<BootSequencer>(machine_, eth_.get(), boot_params_);
   node_used_.assign(static_cast<std::size_t>(m->num_nodes()), false);
   quarantined_.assign(static_cast<std::size_t>(m->num_nodes()), false);

@@ -47,7 +47,6 @@ void Hssl::begin_training() {
     if (epoch != epoch_) return;  // failed/retrained while training
     set_state(LinkState::kTrained);
     trained_at_ = engine_.now();
-    busy_cycles_ = 0;
     ++times_trained_;
     start_next();
     if (!busy_ && on_ready_) on_ready_();
@@ -92,7 +91,6 @@ u64 Hssl::transmit(const Frame& frame) {
   QCDOC_AFFSAN_CHECK(this);
   if (state_ == LinkState::kDown || state_ == LinkState::kFailed ||
       frame.bits <= 0) {
-    ++rejected_frames_;
     QCDOC_WARN << "hssl: transmit rejected (" << to_string(state_)
                << " link, " << frame.bits << " bits)";
     return kRejected;
@@ -116,7 +114,6 @@ void Hssl::start_next() {
       if (errors_.next_bool(cfg_.bit_error_rate)) ++flipped;
     }
   }
-  busy_cycles_ += static_cast<Cycle>(frame.bits);
   ++frames_;
   bits_ += static_cast<u64>(frame.bits);
   bits_flipped_ += static_cast<u64>(flipped);
@@ -146,13 +143,7 @@ void Hssl::start_next() {
     if (epoch != epoch_) return;
     if (receiver_) receiver_(id, frame, flipped);
   };
-  delivery_.schedule(serialize + cfg_.wire_delay_cycles, std::move(deliver));
-}
-
-Cycle Hssl::idle_cycles() const {
-  if (state_ != LinkState::kTrained) return 0;
-  const Cycle since_trained = engine_.now() - trained_at_;
-  return since_trained > busy_cycles_ ? since_trained - busy_cycles_ : 0;
+  delivery_.schedule(serialize + kWireDelayCycles, std::move(deliver));
 }
 
 }  // namespace qcdoc::hssl

@@ -30,9 +30,11 @@
 
 namespace qcdoc::hssl {
 
+/// Time of flight through board and cable, in cycles.
+inline constexpr Cycle kWireDelayCycles = 2;
+
 struct HsslConfig {
   Cycle training_cycles = 2048;  ///< byte-sequence exchange after reset
-  Cycle wire_delay_cycles = 2;   ///< time-of-flight through board + cable
   double bit_error_rate = 0.0;   ///< probability a transmitted bit flips
 };
 
@@ -101,9 +103,8 @@ class Hssl {
   void set_receiver(Receiver r) { receiver_ = std::move(r); }
 
   /// Queue `frame` (of `frame.bits` bits) for transmission.  Returns its
-  /// frame id, or kRejected (counted in rejected_frames(), with a warning)
-  /// when the link cannot carry it.  Frames serialize strictly in order at
-  /// 1 bit/cycle.
+  /// frame id, or kRejected (with a warning) when the link cannot carry
+  /// it.  Frames serialize strictly in order at 1 bit/cycle.
   u64 transmit(const Frame& frame);
 
   /// Called whenever the serializer becomes free (including right after
@@ -120,17 +121,12 @@ class Hssl {
   /// parallel windows, on the sending node's worker.
   void track_untrained(std::atomic<long>* counter);
 
-  [[nodiscard]] bool busy() const { return busy_; }
-  /// Cycles this link spent sending idle bytes (trained but no payload).
-  Cycle idle_cycles() const;
-
   /// Change the error rate at runtime (fault injection for diagnostics).
   /// Clamped to [0, 1]; non-finite rates are treated as 0.
   void set_bit_error_rate(double rate);
   double bit_error_rate() const { return cfg_.bit_error_rate; }
 
   u64 times_trained() const { return times_trained_; }
-  u64 rejected_frames() const { return rejected_frames_; }
   /// Frames serialized onto the wire, their bits, and the bits flipped.
   u64 frames() const { return frames_; }
   u64 bits() const { return bits_; }
@@ -152,9 +148,7 @@ class Hssl {
   Cycle trained_at_ = 0;
   bool busy_ = false;
   u64 next_frame_id_ = 0;
-  Cycle busy_cycles_ = 0;
   u64 times_trained_ = 0;
-  u64 rejected_frames_ = 0;
   u64 frames_ = 0;
   u64 bits_ = 0;
   u64 bits_flipped_ = 0;

@@ -43,7 +43,7 @@ struct SolverRig {
     comm = std::make_unique<comms::Communicator>(m.get(), partition.get());
     geom = std::make_unique<GlobalGeometry>(partition.get(), global);
     bsp = std::make_unique<machine::BspRunner>(m.get());
-    cpu = std::make_unique<cpu::CpuModel>(m->hw(), m->mem_timing());
+    cpu = std::make_unique<cpu::CpuModel>(m->mem_timing());
     ops = std::make_unique<FieldOps>(bsp.get(), cpu.get(), comm.get());
   }
 
@@ -55,7 +55,7 @@ struct SolverRig {
     comm = std::make_unique<comms::Communicator>(machine, part);
     geom = std::make_unique<GlobalGeometry>(part, global);
     bsp = std::make_unique<machine::BspRunner>(machine);
-    cpu = std::make_unique<cpu::CpuModel>(machine->hw(), machine->mem_timing());
+    cpu = std::make_unique<cpu::CpuModel>(machine->mem_timing());
     ops = std::make_unique<FieldOps>(bsp.get(), cpu.get(), comm.get());
   }
 

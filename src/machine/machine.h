@@ -1,5 +1,5 @@
 // The assembled QCDOC machine: event engine, mesh network, packaging and
-// hardware parameters in one object.  This is the main entry point of the
+// the node clock in one object.  This is the main entry point of the
 // library.
 //
 //   qcdoc::machine::MachineConfig cfg;
@@ -21,7 +21,10 @@ namespace qcdoc::machine {
 
 struct MachineConfig {
   torus::Shape shape;          ///< 6-D mesh extents
-  double clock_hz = 500e6;     ///< node clock (paper runs 360/420/450/500)
+  /// The node clock, the one clock of the model: serial links run at it,
+  /// and every seconds-to-cycles conversion reads it (paper runs
+  /// 360/420/450/500 MHz).
+  double clock_hz = 500e6;
   double bit_error_rate = 0.0; ///< injected serial-link error rate
   memsys::MemConfig mem;       ///< per-node EDRAM/DDR sizes
   u64 seed = 0x9c0dull;        ///< master seed for all stochastic elements
@@ -39,7 +42,6 @@ class Machine {
 
   sim::Engine& engine() { return *engine_; }
   net::MeshNet& mesh() { return *mesh_; }
-  const HwParams& hw() const { return hw_; }
   const memsys::MemTiming& mem_timing() const { return mem_timing_; }
   const MachineConfig& config() const { return cfg_; }
   const torus::Torus& topology() const { return mesh_->topology(); }
@@ -53,8 +55,10 @@ class Machine {
   /// The host's boot (host/boot.h) names the wires that failed to train.
   Cycle power_on();
 
-  double seconds(Cycle c) const { return hw_.seconds(c); }
-  double microseconds(Cycle c) const { return hw_.seconds(c) * 1e6; }
+  double seconds(Cycle c) const {
+    return static_cast<double>(c) / cfg_.clock_hz;
+  }
+  double microseconds(Cycle c) const { return seconds(c) * 1e6; }
 
   scu::Scu& scu(NodeId n) { return mesh_->scu(n); }
   memsys::NodeMemory& memory(NodeId n) { return mesh_->memory(n); }
@@ -68,7 +72,6 @@ class Machine {
 
  private:
   MachineConfig cfg_;
-  HwParams hw_;
   memsys::MemTiming mem_timing_;
   std::unique_ptr<sim::Engine> engine_;
   std::unique_ptr<net::MeshNet> mesh_;

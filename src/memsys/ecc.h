@@ -40,12 +40,16 @@ namespace qcdoc::memsys {
 /// Which level of the hierarchy a word address resides in.
 enum class Region { kEdram, kDdr };
 
+/// Width of an EDRAM internal row, the unit the controller reads and
+/// writes and the SECDED codeword (paper Section 2.1).
+inline constexpr int kEdramRowBits = 1024;
+
 class NodeMemory;
 
 /// SECDED codeword geometry, in 64-bit words.
 struct EccConfig {
-  u64 edram_row_words = 16;  ///< 1024-bit EDRAM internal row
-  u64 ddr_burst_words = 4;   ///< 256-bit DDR burst
+  u64 edram_row_words = kEdramRowBits / 64;  ///< one EDRAM internal row
+  u64 ddr_burst_words = 4;                   ///< 256-bit DDR burst
 };
 
 /// Lifetime counters of one node's ECC machinery.

@@ -3,8 +3,6 @@
 #include <algorithm>
 
 #include "common/log.h"
-#include "memsys/ddr.h"
-#include "memsys/edram.h"
 #include "sim/affinity_guard.h"
 
 namespace qcdoc::memsys {
@@ -133,8 +131,31 @@ bool NodeMemory::restore_chunk(u64 base, std::span<const u64> words) {
 
 double MemTiming::stream_cycles(Region region, double bytes,
                                 int streams) const {
-  return region == Region::kEdram ? edram_stream_cycles(*this, bytes, streams)
-                                  : ddr_stream_cycles(*this, bytes, streams);
+  if (region == Region::kEdram) {
+    double cycles = bytes / kEdramBytesPerCycle;
+    if (streams > kEdramPrefetchStreams) {
+      // Streams beyond the prefetch capacity interleave row activations:
+      // the controller pays one page-miss latency per row fetched for the
+      // excess fraction of the traffic.
+      const double excess_fraction =
+          static_cast<double>(streams - kEdramPrefetchStreams) /
+          static_cast<double>(std::max(streams, 1));
+      const double rows = bytes * excess_fraction / (kEdramRowBits / 8.0);
+      cycles += rows * kEdramPageMissCycles;
+    }
+    return cycles;
+  }
+  double cycles = bytes / ddr_bytes_per_cycle;
+  // DDR has no prefetch engine in front of it: concurrent streams thrash the
+  // open page.  One stream streams at full bandwidth; each additional stream
+  // pays a page miss per page of its share of the traffic.
+  if (streams > 1) {
+    const double thrash_fraction =
+        static_cast<double>(streams - 1) / static_cast<double>(streams);
+    const double pages = bytes * thrash_fraction / kDdrPageBytes;
+    cycles += pages * kDdrPageMissCycles * streams;
+  }
+  return cycles;
 }
 
 }  // namespace qcdoc::memsys

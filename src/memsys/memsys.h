@@ -129,20 +129,26 @@ class NodeMemory {
   EccModel ecc_;
 };
 
-/// Cycle costs of bulk memory traffic, used by the DMA engines and the CPU
-/// timing model.  All figures in CPU cycles at the node clock.
+// Memory-system figures of paper Section 2.1, in CPU cycles at the node
+// clock unless named otherwise.  EDRAM runs at the node clock: 128-bit
+// words to the data cache every cycle, and two prefetch engines hide the
+// page misses of up to two contiguous streams.  DDR SDRAM is a
+// fixed-frequency part behind the PLB.
+inline constexpr double kEdramBytesPerCycle = 16.0;
+inline constexpr int kEdramPrefetchStreams = 2;
+inline constexpr double kEdramPageMissCycles = 11.0;
+inline constexpr double kDdrBytesPerSecond = 2.6e9;
+inline constexpr double kDdrPageBytes = 2048.0;
+inline constexpr double kDdrPageMissCycles = 25.0;
+
+/// Cycle costs of bulk memory traffic, used by the CPU timing model.
 struct MemTiming {
-  // EDRAM: 128-bit words to the data cache at full processor speed.
-  double edram_bytes_per_cycle = 16.0;
-  // Prefetching hides page misses for up to `prefetch_streams` contiguous
-  // streams; each extra stream pays a page-miss penalty per row crossed.
-  int prefetch_streams = 2;
-  double edram_row_bytes = 128.0;  // 1024-bit internal read/write width
-  double edram_page_miss_cycles = 11.0;
-  // DDR SDRAM at 2.6 GB/s behind the PLB (5.2 bytes/cycle at 500 MHz).
-  double ddr_bytes_per_cycle = 5.2;
-  double ddr_page_bytes = 2048.0;
-  double ddr_page_miss_cycles = 25.0;
+  /// DDR bytes per CPU cycle at a node clock of `clock_hz` (5.2 at
+  /// 500 MHz): a faster core waits more cycles for the same bytes.
+  explicit MemTiming(double clock_hz)
+      : ddr_bytes_per_cycle(kDdrBytesPerSecond / clock_hz) {}
+
+  double ddr_bytes_per_cycle;
 
   /// Cycles to stream `bytes` from a region with `streams` concurrent
   /// access streams (a(x) and b(x) in the paper's example are 2 streams).

@@ -5,28 +5,28 @@
 namespace qcdoc::net {
 
 Cycle ClusterNet::message_cycles(std::size_t bytes) const {
-  return cycles(cfg_.start_latency_s +
-                static_cast<double>(bytes) / cfg_.bandwidth_Bps);
+  return cycles(kClusterStartSeconds +
+                static_cast<double>(bytes) / kClusterBytesPerSecond);
 }
 
 Cycle ClusterNet::halo_exchange_cycles(int messages,
                                        std::size_t bytes_each) const {
   if (messages <= 0) return 0;
-  // Startups serialize on the NIC in groups of `concurrent_messages`; the
-  // payload of the last message then streams out at link bandwidth.
-  const int rounds =
-      (messages + cfg_.concurrent_messages - 1) / cfg_.concurrent_messages;
-  const double startup = cfg_.start_latency_s * rounds;
+  // The NIC starts one message at a time; the payload of the last message
+  // then streams out at link bandwidth.
+  const double startup = kClusterStartSeconds * messages;
   const double payload = static_cast<double>(messages) *
-                         static_cast<double>(bytes_each) / cfg_.bandwidth_Bps;
+                         static_cast<double>(bytes_each) /
+                         kClusterBytesPerSecond;
   return cycles(startup + payload);
 }
 
 Cycle ClusterNet::allreduce_cycles(int nodes, std::size_t words) const {
   if (nodes <= 1) return 0;
   const int levels = static_cast<int>(std::ceil(std::log2(nodes)));
-  const double per_hop = cfg_.start_latency_s +
-                         static_cast<double>(words * 8) / cfg_.bandwidth_Bps;
+  const double per_hop = kClusterStartSeconds +
+                         static_cast<double>(words * 8) /
+                         kClusterBytesPerSecond;
   return cycles(2.0 * levels * per_hop);
 }
 

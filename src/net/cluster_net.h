@@ -12,18 +12,13 @@
 
 namespace qcdoc::net {
 
-struct ClusterNetConfig {
-  double cpu_clock_hz = 500e6;     ///< for cycle conversion
-  double start_latency_s = 7.5e-6; ///< "5-10 us just to begin a transfer"
-  double bandwidth_Bps = 125e6;    ///< GigE-class payload bandwidth
-  int concurrent_messages = 1;     ///< NICs serialize message injection
-};
+inline constexpr double kClusterStartSeconds = 7.5e-6;  ///< "5-10 us"
+inline constexpr double kClusterBytesPerSecond = 125e6;  ///< GigE payload
 
 class ClusterNet {
  public:
-  explicit ClusterNet(ClusterNetConfig cfg) : cfg_(cfg) {}
-
-  const ClusterNetConfig& config() const { return cfg_; }
+  /// `clock_hz` is the node clock whose cycles the results count.
+  explicit ClusterNet(double clock_hz) : clock_hz_(clock_hz) {}
 
   /// Cycles for one point-to-point message.
   Cycle message_cycles(std::size_t bytes) const;
@@ -39,9 +34,9 @@ class ClusterNet {
 
  private:
   Cycle cycles(double seconds) const {
-    return static_cast<Cycle>(seconds * cfg_.cpu_clock_hz + 0.5);
+    return static_cast<Cycle>(seconds * clock_hz_ + 0.5);
   }
-  ClusterNetConfig cfg_;
+  double clock_hz_;
 };
 
 }  // namespace qcdoc::net

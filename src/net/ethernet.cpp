@@ -5,32 +5,31 @@
 
 namespace qcdoc::net {
 
-EthernetTree::EthernetTree(sim::EngineRef engine, EthernetConfig cfg,
-                           int num_nodes)
-    : engine_(engine), cfg_(cfg) {
-  assert(cfg_.host_links >= 1);
-  host_link_free_.assign(static_cast<std::size_t>(cfg_.host_links), 0);
+EthernetTree::EthernetTree(sim::EngineRef engine, double clock_hz,
+                           EthernetConfig cfg, int num_nodes)
+    : engine_(engine), clock_hz_(clock_hz) {
+  assert(cfg.host_links >= 1);
+  host_link_free_.assign(static_cast<std::size_t>(cfg.host_links), 0);
   node_link_free_.assign(static_cast<std::size_t>(num_nodes), 0);
 }
 
 void EthernetTree::host_to_node(NodeId node, std::size_t payload_bytes,
                                 EthKind kind,
                                 std::function<void()> on_delivered) {
-  const std::size_t frame = payload_bytes + cfg_.udp_overhead_bytes;
-  auto& host_free =
-      host_link_free_[node.value % static_cast<u32>(cfg_.host_links)];
+  const std::size_t frame = payload_bytes + kUdpOverheadBytes;
+  auto& host_free = host_link_free_[node.value % host_link_free_.size()];
   auto& node_free = node_link_free_[node.value];
 
   // Host link serialization (shared among the nodes behind this link).
   const Cycle host_start = std::max(engine_.now(), host_free);
-  const Cycle host_done = host_start + serialize(cfg_.host_link_bps, frame);
+  const Cycle host_done = host_start + serialize(kHostLinkBps, frame);
   host_free = host_done;
   // Hub hops: store-and-forward latency each.
   const Cycle hubs_done =
-      host_done + static_cast<Cycle>(cfg_.hub_hops) * cycles(cfg_.hub_latency_s);
+      host_done + static_cast<Cycle>(kHubHops) * cycles(kHubLatencySeconds);
   // Node link serialization at 100 Mbit.
   const Cycle node_start = std::max(hubs_done, node_free);
-  const Cycle node_done = node_start + serialize(cfg_.node_link_bps, frame);
+  const Cycle node_done = node_start + serialize(kNodeLinkBps, frame);
   node_free = node_done;
 
   ++packets_delivered_;
@@ -42,18 +41,17 @@ void EthernetTree::host_to_node(NodeId node, std::size_t payload_bytes,
 
 void EthernetTree::node_to_host(NodeId node, std::size_t payload_bytes,
                                 std::function<void()> on_delivered) {
-  const std::size_t frame = payload_bytes + cfg_.udp_overhead_bytes;
+  const std::size_t frame = payload_bytes + kUdpOverheadBytes;
   auto& node_free = node_link_free_[node.value];
-  auto& host_free =
-      host_link_free_[node.value % static_cast<u32>(cfg_.host_links)];
+  auto& host_free = host_link_free_[node.value % host_link_free_.size()];
 
   const Cycle node_start = std::max(engine_.now(), node_free);
-  const Cycle node_done = node_start + serialize(cfg_.node_link_bps, frame);
+  const Cycle node_done = node_start + serialize(kNodeLinkBps, frame);
   node_free = node_done;
   const Cycle hubs_done =
-      node_done + static_cast<Cycle>(cfg_.hub_hops) * cycles(cfg_.hub_latency_s);
+      node_done + static_cast<Cycle>(kHubHops) * cycles(kHubLatencySeconds);
   const Cycle host_start = std::max(hubs_done, host_free);
-  const Cycle host_done = host_start + serialize(cfg_.host_link_bps, frame);
+  const Cycle host_done = host_start + serialize(kHostLinkBps, frame);
   host_free = host_done;
 
   ++packets_delivered_;

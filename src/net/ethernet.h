@@ -22,14 +22,15 @@
 
 namespace qcdoc::net {
 
+// Link speeds in bits per second, and the store-and-forward path between.
+inline constexpr double kHostLinkBps = 1e9;    ///< per Gigabit host link
+inline constexpr double kNodeLinkBps = 100e6;  ///< per-node 100 Mbit link
+inline constexpr double kHubLatencySeconds = 2e-6;  ///< per hub hop
+inline constexpr int kHubHops = 2;  ///< daughterboard + motherboard hubs
+inline constexpr std::size_t kUdpOverheadBytes = 46;  ///< Ethernet+IP+UDP
+
 struct EthernetConfig {
-  double cpu_clock_hz = 500e6;   ///< converts seconds to engine cycles
-  double host_link_bps = 1e9;    ///< per Gigabit host link
-  int host_links = 1;            ///< "multiple Gigabit Ethernet links"
-  double node_link_bps = 100e6;  ///< per-node 100 Mbit connection
-  double hub_latency_s = 2e-6;   ///< per hub store-and-forward hop
-  int hub_hops = 2;              ///< daughterboard + motherboard hubs
-  std::size_t udp_overhead_bytes = 46;  ///< Ethernet + IP + UDP headers
+  int host_links = 1;  ///< "multiple Gigabit Ethernet links"
 };
 
 /// Kind of traffic, for statistics and for the zero-software JTAG path.
@@ -41,8 +42,10 @@ class EthernetTree {
  public:
   /// The Ethernet tree is host-side plumbing (boot streams, RPC, NFS), so
   /// deliveries are scheduled with host affinity: a bare Engine* converts
-  /// to a host-affinity sim::EngineRef.
-  EthernetTree(sim::EngineRef engine, EthernetConfig cfg, int num_nodes);
+  /// to a host-affinity sim::EngineRef.  `clock_hz` is the node clock the
+  /// engine counts cycles of.
+  EthernetTree(sim::EngineRef engine, double clock_hz, EthernetConfig cfg,
+               int num_nodes);
 
   /// Send one UDP packet of `payload_bytes` from the host to `node`;
   /// `on_delivered` fires when the last byte reaches the node.  Nodes are
@@ -59,15 +62,16 @@ class EthernetTree {
 
  private:
   Cycle cycles(double seconds) const {
-    return static_cast<Cycle>(seconds * cfg_.cpu_clock_hz + 0.5);
+    return static_cast<Cycle>(seconds * clock_hz_ + 0.5);
   }
   Cycle serialize(double bps, std::size_t bytes) const {
     return cycles(static_cast<double>(bytes) * 8.0 / bps);
   }
 
   sim::EngineRef engine_;
-  EthernetConfig cfg_;
-  // Earliest free time per shared resource.
+  double clock_hz_;
+  // Earliest free time per shared resource: one per host link, one per
+  // node link.
   std::vector<Cycle> host_link_free_;
   std::vector<Cycle> node_link_free_;
   u64 packets_delivered_ = 0;

@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <sstream>
 
+#include "cpu/timing.h"
+
 namespace qcdoc::perf {
 
 std::string format_table(const std::vector<Row>& rows) {
@@ -121,9 +123,6 @@ std::string format_mem_resilience_report(machine::Machine& m) {
   return line;
 }
 
-namespace {
-
-/// The q-th percentile of a sample set, nearest-rank (0 when empty).
 Cycle percentile(std::vector<Cycle> samples, double q) {
   if (samples.empty()) return 0;
   std::sort(samples.begin(), samples.end());
@@ -131,8 +130,6 @@ Cycle percentile(std::vector<Cycle> samples, double q) {
       q * static_cast<double>(samples.size() - 1) + 0.5);
   return samples[std::min(rank, samples.size() - 1)];
 }
-
-}  // namespace
 
 std::string format_scheduler_report(const host::SchedulerReport& r) {
   std::ostringstream out;
@@ -152,7 +149,7 @@ std::string format_scheduler_report(const host::SchedulerReport& r) {
 }
 
 double machine_peak_flops_per_cycle(const machine::Machine& m) {
-  return static_cast<double>(m.num_nodes()) * 2.0;
+  return static_cast<double>(m.num_nodes()) * cpu::kFlopsPerCycle;
 }
 
 double cg_efficiency(const machine::Machine& m, const lattice::CgResult& r) {

@@ -48,6 +48,9 @@ std::string format_traffic_report(const lattice::TrafficByPrecision& t);
 /// uncorrectable codewords (machine checks), and scrub work done.
 std::string format_mem_resilience_report(machine::Machine& m);
 
+/// The q-th percentile of a sample set, nearest-rank (0 when empty).
+Cycle percentile(std::vector<Cycle> samples, double q);
+
 /// Multi-line summary of a scheduler run: submission/admission counters
 /// (accepted and each typed rejection), completion/failure totals, re-queue
 /// and migration counts, and p50/p99 time-to-boot split into cold and warm
@@ -55,7 +58,7 @@ std::string format_mem_resilience_report(machine::Machine& m);
 /// stays bit-identical run to run.
 std::string format_scheduler_report(const host::SchedulerReport& r);
 
-/// Machine peak in flops per cycle (nodes x 2).
+/// Machine peak in flops per cycle (nodes x cpu::kFlopsPerCycle).
 double machine_peak_flops_per_cycle(const machine::Machine& m);
 
 /// Efficiency of a CG run on a machine.

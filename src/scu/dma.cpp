@@ -21,12 +21,10 @@ void reject_empty(const DmaDescriptor& desc, const char* engine) {
 }  // namespace
 
 SendDma::SendDma(sim::EngineRef engine, memsys::NodeMemory* memory,
-                 SendSide* channel, DmaTiming timing,
-                 ActiveCounter* active_counter)
+                 SendSide* channel, ActiveCounter* active_counter)
     : engine_(engine),
       memory_(memory),
       channel_(channel),
-      timing_(timing),
       active_counter_(active_counter) {
   channel_->set_on_data_drained([this] {
     if (!active_) return;
@@ -47,7 +45,7 @@ void SendDma::start(const DmaDescriptor& desc,
   // After the setup path (descriptor fetch, first memory access, SCU
   // injection) the DMA streams words faster than the 72-cycle serial link
   // can drain them, so the channel queue is filled in one go.
-  engine_.schedule(timing_.send_setup_cycles, [this, desc] {
+  engine_.schedule(kSendSetupCycles, [this, desc] {
     for (u64 i = 0; i < desc.total_words(); ++i) {
       channel_->enqueue_data(memory_->read_word(desc.word_addr(i)));
     }
@@ -55,12 +53,10 @@ void SendDma::start(const DmaDescriptor& desc,
 }
 
 RecvDma::RecvDma(sim::EngineRef engine, memsys::NodeMemory* memory,
-                 RecvSide* channel, DmaTiming timing,
-                 ActiveCounter* active_counter)
+                 RecvSide* channel, ActiveCounter* active_counter)
     : engine_(engine),
       memory_(memory),
       channel_(channel),
-      timing_(timing),
       active_counter_(active_counter) {}
 
 void RecvDma::start(const DmaDescriptor& desc,
@@ -99,7 +95,7 @@ void RecvDma::on_word(u64 word) {
     // engine stays active until the final landing completes.
     channel_->clear_data_sink();
   }
-  engine_.schedule(timing_.recv_landing_cycles, [this, addr, word, index, last] {
+  engine_.schedule(kRecvLandingCycles, [this, addr, word, index, last] {
     if (dest_.empty()) {
       memory_->write_word(addr, word);
     } else {

@@ -42,10 +42,10 @@ struct DmaDescriptor {
   int streams() const { return num_blocks > 1 ? 2 : 1; }
 };
 
-struct DmaTiming {
-  Cycle send_setup_cycles = 150;  ///< descriptor fetch + first-word injection
-  Cycle recv_landing_cycles = 66; ///< receive-side store path to memory
-};
+/// Descriptor fetch, first memory access and SCU injection of a send.
+inline constexpr Cycle kSendSetupCycles = 150;
+/// Receive-side store path from the SCU to memory, per word.
+inline constexpr Cycle kRecvLandingCycles = 66;
 
 /// Shared count of in-flight transfers, used by the machine to detect
 /// quiescence in O(1) instead of scanning every link after every event.
@@ -56,7 +56,7 @@ using ActiveCounter = sim::ActiveCounter;
 class SendDma {
  public:
   SendDma(sim::EngineRef engine, memsys::NodeMemory* memory, SendSide* channel,
-          DmaTiming timing, ActiveCounter* active_counter = nullptr);
+          ActiveCounter* active_counter = nullptr);
 
   /// Begin a transfer.  Completion (all words acknowledged by the remote
   /// SCU) is reported through `on_complete`.  Throws std::invalid_argument,
@@ -71,7 +71,6 @@ class SendDma {
   sim::EngineRef engine_;
   memsys::NodeMemory* memory_;
   SendSide* channel_;
-  DmaTiming timing_;
   bool active_ = false;
   u64 transfers_ = 0;
   ActiveCounter* active_counter_ = nullptr;
@@ -82,7 +81,7 @@ class SendDma {
 class RecvDma {
  public:
   RecvDma(sim::EngineRef engine, memsys::NodeMemory* memory, RecvSide* channel,
-          DmaTiming timing, ActiveCounter* active_counter = nullptr);
+          ActiveCounter* active_counter = nullptr);
 
   /// Program the destination.  Until this is called the link sits in idle
   /// receive; calling it drains any held words immediately.  Throws
@@ -101,7 +100,6 @@ class RecvDma {
   sim::EngineRef engine_;
   memsys::NodeMemory* memory_;
   RecvSide* channel_;
-  DmaTiming timing_;
 
   DmaDescriptor desc_;
   /// The destination, resolved once per transfer: every word the

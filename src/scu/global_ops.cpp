@@ -3,13 +3,20 @@
 #include <algorithm>
 #include <cassert>
 
+#include "hssl/hssl.h"
+#include "scu/packet.h"
+
 namespace qcdoc::scu {
 namespace {
+
+/// A word frame's serialization time at one bit per cycle.
+constexpr auto kFrameCycles = static_cast<Cycle>(kWordFrameBits);
+constexpr Cycle kWireDelay = hssl::kWireDelayCycles;
 
 /// Per-hop forwarding delay from a word's head arriving to the relay being
 /// able to start retransmitting it.
 Cycle forward_bits(const GlobalOpTiming& t) {
-  return static_cast<Cycle>(t.cut_through ? t.passthrough_bits : t.frame_bits);
+  return t.cut_through ? static_cast<Cycle>(kPassthroughBits) : kFrameCycles;
 }
 
 /// One ring direction carrying every origin's word up to `max_dist` hops.
@@ -22,19 +29,18 @@ u64 sweep_direction(const GlobalOpTiming& t, int n, int max_dist,
   if (max_dist <= 0) return 0;
   // link_free[j]: edge out of node j.  head[j]: when the current word's head
   // is available for forwarding at node j.
-  std::vector<Cycle> link_free(static_cast<std::size_t>(n), t.inject_cycles);
+  std::vector<Cycle> link_free(static_cast<std::size_t>(n), kInjectCycles);
   std::vector<Cycle> head(static_cast<std::size_t>(n), 0);
 
   // Hop 1: every node transmits its own word simultaneously.
   for (int o = 0; o < n; ++o) {
     const Cycle start = link_free[static_cast<std::size_t>(o)];
-    link_free[static_cast<std::size_t>(o)] =
-        start + static_cast<Cycle>(t.frame_bits);
+    link_free[static_cast<std::size_t>(o)] = start + kFrameCycles;
     const int next = step(o);
-    head[static_cast<std::size_t>(next)] = start + forward_bits(t) + t.wire_delay;
+    head[static_cast<std::size_t>(next)] = start + forward_bits(t) + kWireDelay;
     arrival[static_cast<std::size_t>(next)] =
         std::max(arrival[static_cast<std::size_t>(next)],
-                 start + static_cast<Cycle>(t.frame_bits) + t.wire_delay);
+                 start + kFrameCycles + kWireDelay);
   }
   // Hops 2..max_dist: forward in arrival order; per-link FIFO is preserved
   // because we advance all words one hop per outer iteration.
@@ -43,12 +49,11 @@ u64 sweep_direction(const GlobalOpTiming& t, int n, int max_dist,
     for (int relay = 0; relay < n; ++relay) {
       const auto r = static_cast<std::size_t>(relay);
       const Cycle start = std::max(link_free[r], head[r]);
-      link_free[r] = start + static_cast<Cycle>(t.frame_bits);
+      link_free[r] = start + kFrameCycles;
       const int next = step(relay);
       const auto x = static_cast<std::size_t>(next);
-      next_head[x] = start + forward_bits(t) + t.wire_delay;
-      arrival[x] = std::max(
-          arrival[x], start + static_cast<Cycle>(t.frame_bits) + t.wire_delay);
+      next_head[x] = start + forward_bits(t) + kWireDelay;
+      arrival[x] = std::max(arrival[x], start + kFrameCycles + kWireDelay);
     }
     std::swap(head, next_head);
   }
@@ -84,7 +89,7 @@ RingReduceResult ring_allreduce(const GlobalOpTiming& t,
   }
   for (int i = 0; i < n; ++i) {
     r.node_done[static_cast<std::size_t>(i)] =
-        arrival[static_cast<std::size_t>(i)] + t.store_cycles;
+        arrival[static_cast<std::size_t>(i)] + kStoreCycles;
     r.completion_cycles =
         std::max(r.completion_cycles, r.node_done[static_cast<std::size_t>(i)]);
   }
@@ -100,12 +105,12 @@ BroadcastResult ring_broadcast(const GlobalOpTiming& t, int n, bool doubled) {
     const int dist_minus = n - i;
     const int hops = doubled ? std::min(dist_plus, dist_minus) : dist_plus;
     // A single word has no link contention: the head streams through each
-    // relay after `forward_bits`, and the tail lands frame_bits after the
-    // head left the origin.
+    // relay after `forward_bits`, and the tail lands a frame after the head
+    // left the origin.
     const Cycle arrival =
-        t.inject_cycles + static_cast<Cycle>(t.frame_bits) + t.wire_delay +
-        static_cast<Cycle>(hops - 1) * (forward_bits(t) + t.wire_delay);
-    r.node_done[static_cast<std::size_t>(i)] = arrival + t.store_cycles;
+        kInjectCycles + kFrameCycles + kWireDelay +
+        static_cast<Cycle>(hops - 1) * (forward_bits(t) + kWireDelay);
+    r.node_done[static_cast<std::size_t>(i)] = arrival + kStoreCycles;
     r.completion_cycles =
         std::max(r.completion_cycles, r.node_done[static_cast<std::size_t>(i)]);
   }

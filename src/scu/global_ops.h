@@ -10,7 +10,7 @@
 //
 // The model works at word granularity with two constraints per hop: a link
 // serializes one 72-bit frame at a time, and a relay may start forwarding a
-// word only `passthrough_bits` after the word's head arrives (or after the
+// word only kPassthroughBits after the word's head arrives (or after the
 // full frame, in store-and-forward mode, for the ablation bench).
 // Functional values travel with the words; sums are accumulated in canonical
 // ring order so results are bit-identical across nodes and runs.
@@ -23,13 +23,17 @@
 
 namespace qcdoc::scu {
 
+/// Bits a relay buffers before forwarding a word in cut-through mode.
+inline constexpr int kPassthroughBits = 8;
+/// CPU write of the send register that injects a word.
+inline constexpr Cycle kInjectCycles = 20;
+/// Landing a word in memory or an SCU register.
+inline constexpr Cycle kStoreCycles = 10;
+
+/// Words travel as 72-bit frames (scu/packet.h) over wires with the HSSL
+/// time of flight (hssl/hssl.h); only the forwarding mode varies.
 struct GlobalOpTiming {
-  int frame_bits = 72;        ///< 64-bit word + 8-bit header
-  int passthrough_bits = 8;   ///< bits buffered before forwarding
-  Cycle wire_delay = 2;       ///< per-hop time of flight
-  Cycle inject_cycles = 20;   ///< CPU write of the send register
-  Cycle store_cycles = 10;    ///< landing a word in memory / SCU register
-  bool cut_through = true;    ///< false = store-and-forward (ablation)
+  bool cut_through = true;  ///< false = store-and-forward (ablation)
 };
 
 struct RingReduceResult {
@@ -53,7 +57,7 @@ struct BroadcastResult {
 
 /// Broadcast one word from ring position 0 around a ring of `n` nodes
 /// (both directions when `doubled`).  This is where cut-through pays:
-/// per-hop latency is `passthrough_bits` instead of `frame_bits`.
+/// per-hop latency is kPassthroughBits instead of a whole frame.
 BroadcastResult ring_broadcast(const GlobalOpTiming& t, int n, bool doubled);
 
 }  // namespace qcdoc::scu

@@ -26,7 +26,9 @@ bool has_word_payload(PacketType t) {
   return t == PacketType::kData || t == PacketType::kSupervisor;
 }
 
-int frame_bits(PacketType t) { return has_word_payload(t) ? 72 : 16; }
+int frame_bits(PacketType t) {
+  return has_word_payload(t) ? kWordFrameBits : kHeaderBits + 8;
+}
 
 int min_frame_bits() { return frame_bits(PacketType::kAck); }
 

@@ -35,6 +35,12 @@ enum class PacketType : u8 {
   kSupAck = 0b1100,
 };
 
+/// Header and word-payload widths: a data or supervisor frame is 72 bits,
+/// so 8/9 of a busy link's bits are payload.
+inline constexpr int kHeaderBits = 8;
+inline constexpr int kWordBits = 64;
+inline constexpr int kWordFrameBits = kHeaderBits + kWordBits;
+
 /// Is this one of the long (64-bit payload) packet types?
 [[nodiscard]] bool has_word_payload(PacketType t);
 

@@ -17,7 +17,7 @@ Scu::Scu(sim::EngineRef engine, memsys::NodeMemory* memory, ScuConfig cfg,
     recv_[static_cast<std::size_t>(l)] =
         std::make_unique<RecvSide>(engine_, cfg_.link, rng_.split());
     recv_dma_[static_cast<std::size_t>(l)] = std::make_unique<RecvDma>(
-        engine_, memory_, recv_[static_cast<std::size_t>(l)].get(), cfg_.dma,
+        engine_, memory_, recv_[static_cast<std::size_t>(l)].get(),
         cfg_.active_transfers);
     const LinkIndex link{l};
     recv_[static_cast<std::size_t>(l)]->set_supervisor_handler(
@@ -33,7 +33,7 @@ void Scu::attach_outgoing_wire(LinkIndex l, hssl::Hssl* wire) {
   slot = std::make_unique<SendSide>(engine_, wire, cfg_.link);
   slot->set_on_link_fault([this, l] { faulted_links_ |= 1u << l.value; });
   send_dma_[static_cast<std::size_t>(l.value)] =
-      std::make_unique<SendDma>(engine_, memory_, slot.get(), cfg_.dma,
+      std::make_unique<SendDma>(engine_, memory_, slot.get(),
                                 cfg_.active_transfers);
 }
 

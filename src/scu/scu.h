@@ -27,7 +27,6 @@ namespace qcdoc::scu {
 
 struct ScuConfig {
   LinkParams link;
-  DmaTiming dma;
   /// Machine-wide in-flight transfer counter (owned by the network).
   ActiveCounter* active_transfers = nullptr;
 };

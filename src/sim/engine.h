@@ -36,7 +36,7 @@
 //     the model guarantees no cross-node effect sooner than L cycles (the
 //     HSSL physics: a frame delivery costs a full serialization of at least
 //     the 16-bit minimum frame plus the wire time of flight, so
-//     L = min_frame_bits + wire_delay_cycles).  A node-to-node schedule
+//     L = min_frame_bits + hssl::kWireDelayCycles).  A node-to-node schedule
 //     made inside a window onto a rank of the executing worker's own shard
 //     goes straight into that rank's queue (and, as its new head, into the
 //     worker's shard heap).  Only host-bound and cross-shard schedules are

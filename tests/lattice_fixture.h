@@ -52,7 +52,7 @@ struct LatticeRig {
     comm = std::make_unique<comms::Communicator>(m.get(), partition.get());
     geom = std::make_unique<GlobalGeometry>(partition.get(), global);
     bsp = std::make_unique<machine::BspRunner>(m.get());
-    cpu = std::make_unique<cpu::CpuModel>(m->hw(), m->mem_timing());
+    cpu = std::make_unique<cpu::CpuModel>(m->mem_timing());
     ops = std::make_unique<FieldOps>(bsp.get(), cpu.get(), comm.get());
   }
 };

@@ -91,7 +91,7 @@ inline SolveOutcome run_solve(const SolveScenario& sc,
                                            std::vector<std::string>& log) {
     lattice::GlobalGeometry geom(handle->partition, sc.global);
     machine::BspRunner bsp(&m);
-    cpu::CpuModel cpu(m.hw(), m.mem_timing());
+    cpu::CpuModel cpu(m.mem_timing());
     lattice::FieldOps ops(&bsp, &cpu, &comm);
     lattice::GaugeField gauge(&comm, &geom);
     Rng rng(77);

@@ -103,15 +103,6 @@ TEST(Rng, BernoulliExtremes) {
   }
 }
 
-TEST(HwParams, DerivedQuantitiesMatchPaper) {
-  HwParams hw;
-  EXPECT_DOUBLE_EQ(hw.peak_flops_per_node(), 1e9);        // 1 Gflops/node
-  EXPECT_NEAR(hw.link_packet_efficiency(), 8.0 / 9.0, 1e-12);
-  // 24 links x 500 Mbit/s x 8/9 = 1.333 GB/s (paper: "1.3 GBytes/second").
-  EXPECT_NEAR(hw.scu_aggregate_Bps() / 1e9, 1.333, 0.01);
-  EXPECT_NEAR(hw.edram_bandwidth_Bps() / 1e9, 8.0, 1e-9);  // 8 GB/s
-}
-
 TEST(Log, SinkCapturesMessagesAtOrAboveLevel) {
   std::vector<std::string> captured;
   Log::set_sink([&](LogLevel, const std::string& m) { captured.push_back(m); });

@@ -800,7 +800,7 @@ TEST(Wilson, FoldedSixDimensionalMachineMatchesSingleNode) {
   comms::Communicator comm(&m, &folded);
   GlobalGeometry geom(&folded, global);
   machine::BspRunner bsp(&m);
-  cpu::CpuModel cpu_model(m.hw(), m.mem_timing());
+  cpu::CpuModel cpu_model(m.mem_timing());
   FieldOps ops(&bsp, &cpu_model, &comm);
   GaugeField gauge2(&comm, &geom);
   testing::fill_gauge_by_global_site(geom, gauge2, 0xf01d);

@@ -235,7 +235,7 @@ class LinkRig {
   explicit LinkRig(int threads)
       : engine_({.threads = threads,
                  .lookahead = static_cast<Cycle>(scu::min_frame_bits()) +
-                              net::MeshConfig{}.hssl.wire_delay_cycles,
+                              hssl::kWireDelayCycles,
                  .num_nodes = mesh_config().shape.volume()}),
         mesh_(&engine_, mesh_config()) {
     mesh_.power_on();

@@ -519,7 +519,7 @@ CampaignOutcome run_campaign(int sim_threads = 1) {
       *handle, [&](comms::Communicator& comm, std::vector<std::string>& log) {
         GlobalGeometry geom(handle->partition, {4, 4, 4, 4});
         machine::BspRunner bsp(&m);
-        cpu::CpuModel cpu(m.hw(), m.mem_timing());
+        cpu::CpuModel cpu(m.mem_timing());
         FieldOps ops(&bsp, &cpu, &comm);
         GaugeField gauge(&comm, &geom);
         Rng rng(77);
@@ -656,7 +656,7 @@ MemSoakOutcome run_mem_soak(bool faulted, int sim_threads = 1) {
       *handle, [&](comms::Communicator& comm, std::vector<std::string>& log) {
         GlobalGeometry geom(handle->partition, {4, 4, 4, 16});
         machine::BspRunner bsp(&m);
-        cpu::CpuModel cpu(m.hw(), m.mem_timing());
+        cpu::CpuModel cpu(m.mem_timing());
         FieldOps ops(&bsp, &cpu, &comm);
         GaugeField gauge(&comm, &geom);
         Rng rng(2026);

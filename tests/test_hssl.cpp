@@ -48,7 +48,7 @@ TEST(Hssl, NoTrafficBeforeTraining) {
   EXPECT_EQ(w.link->trained_at(), w.cfg.training_cycles);
   ASSERT_EQ(w.delivered.size(), 1u);
   EXPECT_EQ(w.delivered[0].at,
-            w.cfg.training_cycles + 72 + w.cfg.wire_delay_cycles);
+            w.cfg.training_cycles + 72 + kWireDelayCycles);
 }
 
 TEST(Hssl, FramesSerializeInFifoOrderAtOneBitPerCycle) {
@@ -63,7 +63,7 @@ TEST(Hssl, FramesSerializeInFifoOrderAtOneBitPerCycle) {
     EXPECT_EQ(w.delivered[i].id, i);
     // Back-to-back frames: one every 72 cycles after training.
     EXPECT_EQ(w.delivered[i].at,
-              cfg.training_cycles + 72 * (i + 1) + cfg.wire_delay_cycles);
+              cfg.training_cycles + 72 * (i + 1) + kWireDelayCycles);
   }
 }
 
@@ -125,22 +125,6 @@ TEST(Hssl, ErrorInjectionIsDeterministicAndCounted) {
   EXPECT_LT(total, 300u);
 }
 
-TEST(Hssl, IdleCyclesAccountTrainedButUnusedTime) {
-  HsslConfig cfg;
-  cfg.training_cycles = 10;
-  Wire w(cfg);
-  w.link->power_on();
-  w.engine.run_until_idle();
-  w.engine.run_until(1010);  // 1000 idle cycles after training
-  EXPECT_EQ(w.link->idle_cycles(), 1000u);
-  w.link->transmit(frame(72));
-  w.engine.run_until_idle();
-  EXPECT_EQ(w.delivered.size(), 1u);
-  // The 72 busy cycles do not count as idle.
-  EXPECT_EQ(w.link->idle_cycles(),
-            w.engine.now() - w.cfg.training_cycles - 72);
-}
-
 TEST(Hssl, ReadyCallbackFiresPerFreeSlot) {
   HsslConfig cfg;
   cfg.training_cycles = 4;
@@ -186,7 +170,6 @@ TEST(Hssl, UnpoweredOrFailedLinkRejectsTraffic) {
   // Never powered on: no training sequence has run.
   EXPECT_EQ(w.link->state(), LinkState::kDown);
   EXPECT_EQ(w.link->transmit(frame(72)), Hssl::kRejected);
-  EXPECT_EQ(w.link->rejected_frames(), 1u);
 
   w.link->power_on();
   w.engine.run_until_idle();
@@ -194,9 +177,7 @@ TEST(Hssl, UnpoweredOrFailedLinkRejectsTraffic) {
 
   w.link->fail();
   EXPECT_TRUE(w.link->failed());
-  EXPECT_FALSE(w.link->busy());
   EXPECT_EQ(w.link->transmit(frame(72)), Hssl::kRejected);
-  EXPECT_EQ(w.link->rejected_frames(), 2u);
 }
 
 TEST(Hssl, FailDropsInFlightFramesAndRetrainRecovers) {

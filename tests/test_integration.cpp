@@ -36,7 +36,7 @@ TEST(Integration, BootPartitionSolveVerify) {
   const auto job = daemon.run_job(
       *handle, [&](comms::Communicator& comm, std::vector<std::string>& out) {
         machine::BspRunner bsp(&m);
-        cpu::CpuModel cpu_model(m.hw(), m.mem_timing());
+        cpu::CpuModel cpu_model(m.mem_timing());
         lattice::FieldOps ops(&bsp, &cpu_model, &comm);
         lattice::GlobalGeometry geom(&comm.partition(), {8, 4, 4, 4});
         lattice::GaugeField gauge(&comm, &geom);
@@ -86,7 +86,7 @@ TEST(Integration, TwoPartitionsRunIndependentJobs) {
   auto qcd_job = [&m](comms::Communicator& comm,
                       std::vector<std::string>& out) {
     machine::BspRunner bsp(&m);
-    cpu::CpuModel cpu_model(m.hw(), m.mem_timing());
+    cpu::CpuModel cpu_model(m.mem_timing());
     lattice::FieldOps ops(&bsp, &cpu_model, &comm);
     lattice::GlobalGeometry geom(&comm.partition(), {4, 4, 4, 2});
     lattice::GaugeField gauge(&comm, &geom);
@@ -118,7 +118,7 @@ TEST(Integration, FaultySerialLinkIsRepairedAndReported) {
   const auto job = daemon.run_job(
       *handle, [&](comms::Communicator& comm, std::vector<std::string>&) {
         machine::BspRunner bsp(&m);
-        cpu::CpuModel cpu_model(m.hw(), m.mem_timing());
+        cpu::CpuModel cpu_model(m.mem_timing());
         lattice::FieldOps ops(&bsp, &cpu_model, &comm);
         lattice::GlobalGeometry geom(&comm.partition(), {4, 4, 4, 2});
         lattice::GaugeField gauge(&comm, &geom);
@@ -142,7 +142,7 @@ TEST(Integration, FaultySerialLinkIsRepairedAndReported) {
   clean_daemon.run_job(
       *clean_handle, [&](comms::Communicator& comm, std::vector<std::string>&) {
         machine::BspRunner bsp(&clean);
-        cpu::CpuModel cpu_model(clean.hw(), clean.mem_timing());
+        cpu::CpuModel cpu_model(clean.mem_timing());
         lattice::FieldOps ops(&bsp, &cpu_model, &comm);
         lattice::GlobalGeometry geom(&comm.partition(), {4, 4, 4, 2});
         lattice::GaugeField gauge(&comm, &geom);

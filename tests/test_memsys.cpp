@@ -65,7 +65,7 @@ TEST(NodeMemory, RegionOfAddress) {
 }
 
 TEST(MemTiming, EdramStreamsAtFullBandwidthForTwoStreams) {
-  MemTiming t;
+  const MemTiming t(500e6);
   // 1600 bytes at 16 B/cycle = 100 cycles, no penalty for <= 2 streams.
   EXPECT_DOUBLE_EQ(t.stream_cycles(Region::kEdram, 1600, 2), 100.0);
   // More streams than the two prefetch engines pay page misses.
@@ -73,7 +73,7 @@ TEST(MemTiming, EdramStreamsAtFullBandwidthForTwoStreams) {
 }
 
 TEST(MemTiming, DdrIsSlowerThanEdram) {
-  MemTiming t;
+  const MemTiming t(500e6);
   EXPECT_GT(t.stream_cycles(Region::kDdr, 4096, 1),
             t.stream_cycles(Region::kEdram, 4096, 2));
   // Multi-stream DDR thrashes pages.
@@ -82,11 +82,10 @@ TEST(MemTiming, DdrIsSlowerThanEdram) {
 }
 
 TEST(CpuModel, FpuBoundKernel) {
-  HwParams hw;
-  MemTiming mem;
+  const MemTiming mem(500e6);
   cpu::CpuParams params;
   params.fpu_issue_efficiency = 1.0;
-  cpu::CpuModel model(hw, mem, params);
+  cpu::CpuModel model(mem, params);
   cpu::KernelProfile p;
   p.fmadd_flops = 2000;  // 1000 cycles of perfect fmadds
   EXPECT_DOUBLE_EQ(model.kernel_cycles(p), 1000.0);
@@ -94,11 +93,10 @@ TEST(CpuModel, FpuBoundKernel) {
 }
 
 TEST(CpuModel, IssueEfficiencyDegradesFpu) {
-  HwParams hw;
-  MemTiming mem;
+  const MemTiming mem(500e6);
   cpu::CpuParams params;
   params.fpu_issue_efficiency = 0.5;
-  cpu::CpuModel model(hw, mem, params);
+  cpu::CpuModel model(mem, params);
   cpu::KernelProfile p;
   p.fmadd_flops = 2000;
   EXPECT_DOUBLE_EQ(model.kernel_cycles(p), 2000.0);
@@ -106,11 +104,10 @@ TEST(CpuModel, IssueEfficiencyDegradesFpu) {
 }
 
 TEST(CpuModel, DdrTrafficIsAdditiveEdramIsNot) {
-  HwParams hw;
-  MemTiming mem;
+  const MemTiming mem(500e6);
   cpu::CpuParams params;
   params.fpu_issue_efficiency = 1.0;
-  cpu::CpuModel model(hw, mem, params);
+  cpu::CpuModel model(mem, params);
   cpu::KernelProfile base;
   base.fmadd_flops = 20000;  // 10000 fpu cycles
   cpu::KernelProfile with_edram = base;
@@ -125,9 +122,8 @@ TEST(CpuModel, DdrTrafficIsAdditiveEdramIsNot) {
 }
 
 TEST(CpuModel, SinglePrecisionHelpsOnlyMemoryBoundKernels) {
-  HwParams hw;
-  MemTiming mem;
-  cpu::CpuModel model(hw, mem);
+  const MemTiming mem(500e6);
+  cpu::CpuModel model(mem);
   cpu::KernelProfile dp;
   dp.fmadd_flops = 100;
   dp.load_bytes = 6400;  // strongly load/store bound

@@ -248,7 +248,7 @@ MixedOutcome run_mixed_solve(const std::string* snapshot_dir, bool resume,
                                            std::vector<std::string>& log) {
     GlobalGeometry geom(handle->partition, Coord4{4, 4, 4, 4});
     machine::BspRunner bsp(&m);
-    cpu::CpuModel cpu(m.hw(), m.mem_timing());
+    cpu::CpuModel cpu(m.mem_timing());
     FieldOps ops(&bsp, &cpu, &comm);
     GaugeField gauge(&comm, &geom);
     Rng rng(77);

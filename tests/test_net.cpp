@@ -232,8 +232,7 @@ TEST(MeshNet, PartitionInterruptDeliveredWithinWindows) {
 
 TEST(EthernetTree, PacketDeliveryAndAccounting) {
   sim::Engine engine;
-  EthernetConfig cfg;
-  EthernetTree eth(&engine, cfg, 4);
+  EthernetTree eth(&engine, 500e6, EthernetConfig{}, 4);
   int delivered = 0;
   for (int n = 0; n < 4; ++n) {
     eth.host_to_node(NodeId{static_cast<u32>(n)}, 1024, EthKind::kJtag,
@@ -250,7 +249,7 @@ TEST(EthernetTree, HostLinkIsSharedNodeLinksAreNot) {
   sim::Engine engine;
   EthernetConfig cfg;
   cfg.host_links = 1;
-  EthernetTree eth(&engine, cfg, 2);
+  EthernetTree eth(&engine, 500e6, cfg, 2);
   Cycle t0 = 0, t1 = 0;
   eth.host_to_node(NodeId{0}, 1024, EthKind::kUdp,
                    [&] { t0 = engine.now(); });
@@ -264,25 +263,25 @@ TEST(EthernetTree, HostLinkIsSharedNodeLinksAreNot) {
 }
 
 TEST(ClusterNet, MatchesPaperLatencyBand) {
-  ClusterNetConfig cfg;
-  ClusterNet net(cfg);
+  const double clock_hz = 500e6;
+  const ClusterNet net(clock_hz);
   // "5-10 us just to begin a transfer": a minimal message costs at least
   // the start latency.
   const double us =
-      static_cast<double>(net.message_cycles(8)) / cfg.cpu_clock_hz * 1e6;
+      static_cast<double>(net.message_cycles(8)) / clock_hz * 1e6;
   EXPECT_GE(us, 5.0);
   EXPECT_LE(us, 10.5);
 }
 
 TEST(ClusterNet, HaloExchangeSerializesStartups) {
-  ClusterNet net(ClusterNetConfig{});
+  const ClusterNet net(500e6);
   const auto one = net.halo_exchange_cycles(1, 4096);
   const auto eight = net.halo_exchange_cycles(8, 4096);
   EXPECT_GT(eight, 7 * one);  // startups dominate small transfers
 }
 
 TEST(ClusterNet, AllreduceScalesLogarithmically) {
-  ClusterNet net(ClusterNetConfig{});
+  const ClusterNet net(500e6);
   const auto small = net.allreduce_cycles(16, 1);
   const auto large = net.allreduce_cycles(256, 1);
   EXPECT_EQ(large, 2 * small);  // log2: 4 levels -> 8 levels

@@ -42,11 +42,10 @@ namespace qcdoc::cpu {
 namespace {
 
 TEST(KernelBreakdown, IdentifiesTheBindingResource) {
-  HwParams hw;
-  memsys::MemTiming mem;
+  const memsys::MemTiming mem(500e6);
   CpuParams params;
   params.fpu_issue_efficiency = 1.0;
-  CpuModel model(hw, mem, params);
+  CpuModel model(mem, params);
 
   KernelProfile fpu_bound;
   fpu_bound.fmadd_flops = 20000;  // 10000 fpu cycles
@@ -66,9 +65,8 @@ TEST(KernelBreakdown, IdentifiesTheBindingResource) {
 }
 
 TEST(KernelBreakdown, DdrIsAdditiveToTheBound) {
-  HwParams hw;
-  memsys::MemTiming mem;
-  CpuModel model(hw, mem);
+  const memsys::MemTiming mem(500e6);
+  CpuModel model(mem);
   KernelProfile p;
   p.fmadd_flops = 20000;
   p.issue_efficiency = 1.0;
@@ -81,11 +79,10 @@ TEST(KernelBreakdown, DdrIsAdditiveToTheBound) {
 }
 
 TEST(KernelBreakdown, PerKernelIssueEfficiencyOverridesGlobal) {
-  HwParams hw;
-  memsys::MemTiming mem;
+  const memsys::MemTiming mem(500e6);
   CpuParams params;
   params.fpu_issue_efficiency = 0.5;
-  CpuModel model(hw, mem, params);
+  CpuModel model(mem, params);
   KernelProfile p;
   p.fmadd_flops = 1000;  // 500 raw fpu cycles
   EXPECT_DOUBLE_EQ(model.kernel_cycles(p), 1000.0);  // /0.5

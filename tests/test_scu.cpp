@@ -250,9 +250,8 @@ TEST(Dma, MemoryToMemoryTransferMatchesPaperLatency) {
   const auto dst = mem_b.alloc(32, "dst");
   for (u64 i = 0; i < 32; ++i) mem_a.write_word(src.word_addr + i, 7000 + i);
 
-  DmaTiming timing;  // 150-cycle setup, 66-cycle landing
-  SendDma send(&link.engine, &mem_a, link.send_a.get(), timing);
-  RecvDma recv(&link.engine, &mem_b, link.recv_b.get(), timing);
+  SendDma send(&link.engine, &mem_a, link.send_a.get());
+  RecvDma recv(&link.engine, &mem_b, link.recv_b.get());
 
   DmaDescriptor d;
   d.base_word = src.word_addr;
@@ -286,8 +285,8 @@ TEST(Dma, SendMayStartBeforeReceiveIsProgrammed) {
   const auto dst = mem_b.alloc(16, "dst");
   for (u64 i = 0; i < 16; ++i) mem_a.write_word(src.word_addr + i, 42 + i);
 
-  SendDma send(&link.engine, &mem_a, link.send_a.get(), DmaTiming{});
-  RecvDma recv(&link.engine, &mem_b, link.recv_b.get(), DmaTiming{});
+  SendDma send(&link.engine, &mem_a, link.send_a.get());
+  RecvDma recv(&link.engine, &mem_b, link.recv_b.get());
   send.start(DmaDescriptor{src.word_addr, 16, 1, 0});
   // Run a while with no receive programmed: idle receive blocks the sender.
   link.engine.run_until(20000);
@@ -338,7 +337,7 @@ TEST(GlobalOps, CutThroughBeatsStoreAndForwardForBroadcast) {
   // Per-hop latency: 8 bits instead of 72 bits.
   const auto hops = static_cast<Cycle>(n - 2);
   EXPECT_EQ(slow.completion_cycles - fast.completion_cycles,
-            hops * static_cast<Cycle>(cut.frame_bits - cut.passthrough_bits));
+            hops * static_cast<Cycle>(kWordFrameBits - kPassthroughBits));
 }
 
 TEST(GlobalOps, SumIsBitReproducible) {
@@ -419,8 +418,8 @@ TEST(Dma, BlockStridedTransferGathersAndScatters) {
   const auto dst = mem_b.alloc(64, "dst");
   for (u64 i = 0; i < 64; ++i) mem_a.write_word(src.word_addr + i, i);
 
-  SendDma send(&link.engine, &mem_a, link.send_a.get(), DmaTiming{});
-  RecvDma recv(&link.engine, &mem_b, link.recv_b.get(), DmaTiming{});
+  SendDma send(&link.engine, &mem_a, link.send_a.get());
+  RecvDma recv(&link.engine, &mem_b, link.recv_b.get());
   // Gather every other group of 4 words; scatter contiguously.
   DmaDescriptor sd{src.word_addr, 4, 8, 8};
   DmaDescriptor rd{dst.word_addr, 32, 1, 0};
@@ -446,8 +445,8 @@ TEST(Dma, ScatterLandsEveryWordWithinAndAcrossAllocations) {
   ASSERT_EQ(high.word_addr, low.word_addr + 16);
   for (u64 i = 0; i < 16; ++i) mem_a.write_word(src.word_addr + i, 100 + i);
 
-  SendDma send(&link.engine, &mem_a, link.send_a.get(), DmaTiming{});
-  RecvDma recv(&link.engine, &mem_b, link.recv_b.get(), DmaTiming{});
+  SendDma send(&link.engine, &mem_a, link.send_a.get());
+  RecvDma recv(&link.engine, &mem_b, link.recv_b.get());
   const DmaDescriptor within{high.word_addr + 12, 4, 4, -4};
   const DmaDescriptor across{high.word_addr + 8, 4, 4, -8};
   for (const DmaDescriptor& rd : {within, across}) {
