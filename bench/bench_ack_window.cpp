@@ -10,6 +10,7 @@
 
 #include "bench_util.h"
 #include "common/rng.h"
+#include "machine/machine.h"
 #include "scu/link.h"
 #include "sim/engine.h"
 
@@ -45,7 +46,8 @@ double bandwidth_fraction(int window) {
   for (int i = 0; i < n; ++i) send_a.enqueue_data(static_cast<u64>(i));
   engine.run_until_idle();
   const double cycles = static_cast<double>(engine.now() - 16);
-  const double ideal = n * 72.0;  // back-to-back 72-bit frames
+  // Back-to-back word frames.
+  const double ideal = n * static_cast<double>(kWordFrameBits);
   return ideal / cycles;
 }
 
@@ -66,10 +68,12 @@ int main() {
                     "% of serialization limit"});
   }
   bench::print_rows(rows);
+  const double clock_hz = machine::MachineConfig{}.clock_hz;
   std::printf(
       "\nper-link payload at window 3: %.1f MB/s of %.1f MB/s wire limit "
-      "(500 MHz)\n",
-      bandwidth_fraction(3) * 64.0 / 72.0 * 500e6 / 8 / 1e6,
-      64.0 / 72.0 * 500e6 / 8 / 1e6);
+      "(%.0f MHz)\n",
+      bandwidth_fraction(3) * kWordBits / kWordFrameBits * clock_hz / 8 / 1e6,
+      static_cast<double>(kWordBits) / kWordFrameBits * clock_hz / 8 / 1e6,
+      clock_hz / 1e6);
   return 0;
 }
